@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fmt vet lint lint-sarif verify fuzz psmd-smoke bench-obs bench-join bench-power bench-ingest bench-shard ci
+.PHONY: build test race fmt vet lint lint-sarif verify fuzz psmd-smoke bench-obs bench-join bench-power bench-ingest bench-shard bench-selftest ci
 
 build:
 	$(GO) build ./...
@@ -70,39 +70,44 @@ bench-obs:
 	BENCH_OBS=1 $(GO) test -run TestObsOverheadGate -count=1 -v .
 
 # Join-engine scaling gate: the worklist join must beat the restart-scan
-# reference by >=5x wall clock with strictly fewer Evaluate calls on the
-# adversarial 1200-state model (the gate only runs under BENCH_JOIN=1),
-# then the sweep refreshes the committed BENCH_join.json.
+# oracle (internal/psm tests) by >=5x wall clock with strictly fewer
+# Evaluate calls and an identical model on the adversarial 1200-state
+# model (the gate only runs under BENCH_JOIN=1).
 bench-join:
-	BENCH_JOIN=1 $(GO) test -run TestJoinScalingGate -count=1 -v .
-	$(GO) run ./scripts/bench_join
+	BENCH_JOIN=1 $(GO) test -run TestJoinScalingGate -count=1 -v ./internal/psm
 
 # Power-kernel scaling gate: the columnar word-scan Estimator must beat
-# the scalar ReferenceEstimator walk by >=5x wall clock with bit-identical
-# cycle traces on the 4096-element banked register file (the gate only
-# runs under BENCH_POWER=1), then the sweep refreshes BENCH_power.json.
+# the scalar walk (internal/power tests) by >=5x wall clock with
+# bit-identical cycle traces on the 4096-element banked register file
+# (the gate only runs under BENCH_POWER=1).
 bench-power:
-	BENCH_POWER=1 $(GO) test -run TestPowerKernelGate -count=1 -v .
-	$(GO) run ./scripts/bench_power
+	BENCH_POWER=1 $(GO) test -run TestPowerKernelGate -count=1 -v ./internal/power
 
 # Ingest scaling gate: the zero-copy Scanner/arena/AppendBatch path must
 # beat the bufio/encoding-json Decoder + per-record Append path by >=2x
 # wall clock while mining the identical model (the gate only runs under
-# BENCH_INGEST=1), then the sweep refreshes BENCH_ingest.json with the
-# absolute records/s/core rate.
+# BENCH_INGEST=1) and logs the absolute records/s/core rate.
 bench-ingest:
 	BENCH_INGEST=1 $(GO) test -run TestIngestGate -count=1 -v .
-	$(GO) run ./scripts/bench_ingest
 
 # Shard scaling gate: every shard count in {1,2,4,8} must reduce the
 # workload to a model deep-equal to the single-engine reference with
 # zero shed batches, and at 4 shards the coordinator must beat one
 # engine by >=3x wall clock (the throughput assertion needs real cores
-# and is enforced when GOMAXPROCS >= 6 — see EXPERIMENTS.md), then the
-# loadgen sweep refreshes the committed BENCH_shard.json.
+# and is enforced when GOMAXPROCS >= 6 — see EXPERIMENTS.md).
 bench-shard:
 	BENCH_SHARD=1 $(GO) test -run TestShardScalingGate -count=1 -v .
-	$(GO) run ./scripts/loadgen
+
+# psmbench self-test: psmbench (the end-to-end and per-layer benchmark)
+# is its own module, so `go test ./...` never builds it. This runs its
+# tiny-scale self-test with the environment psmbench/run.sh sets, so a
+# change to an API psmbench calls fails here rather than in a benchmark
+# run.
+BENCH_OUT := $(CURDIR)/.bench_build/psmbench
+bench-selftest:
+	cd psmbench && GOCACHE=$(BENCH_OUT)/gocache GOPATH=$(BENCH_OUT)/gopath \
+		XDG_CONFIG_HOME=$(BENCH_OUT)/config GOFLAGS=-mod=mod \
+		GOTOOLCHAIN=local GOTELEMETRY=off $(GO) test -count=1 .
 
 # Short fuzz smoke: run each native fuzz target for a few seconds on top
 # of its committed seed corpus (testdata/fuzz/). Longer sessions: raise
@@ -113,5 +118,5 @@ fuzz:
 	$(GO) test ./internal/check -run '^$$' -fuzz FuzzModelJSON -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stream -run '^$$' -fuzz FuzzWireScan -fuzztime $(FUZZTIME)
 
-ci: fmt vet build race lint verify fuzz psmd-smoke
+ci: fmt vet build race lint verify fuzz psmd-smoke bench-selftest
 	@echo "ci: all gates passed"

@@ -210,8 +210,8 @@ func recPerSec(n int, d time.Duration) float64 {
 // Scanner/arena/AppendBatch pipeline must mine the exact model the
 // historical Decoder/Append path mines, and its decode+append loop
 // must be >=2x faster (min over interleaved rounds). The absolute
-// single-goroutine records/s is logged — that is the per-core number
-// the committed BENCH_ingest.json tracks.
+// single-goroutine records/s is logged — the per-core ingest rate
+// EXPERIMENTS.md records under "Ingest scaling".
 func TestIngestGate(t *testing.T) {
 	if os.Getenv("BENCH_INGEST") == "" {
 		t.Skip("set BENCH_INGEST=1 (or run `make bench-ingest`) to run the ingest gate")

@@ -427,8 +427,10 @@ func (obsMetricsRule) Check(p *Package, env *Env) []Finding {
 // version-stamped worklist plus verdict memo that produces the identical
 // model with O(n) re-probes per collapse — so state merging anywhere
 // else should go through psm.JoinPooled / psm.Joiner rather than
-// reimplementing the scan. internal/psm itself is exempt: it keeps the
-// reference restart scan for provenance ordering and differential tests.
+// reimplementing the scan. internal/psm itself is exempt as the join
+// engine's home; its restart scan survives only as the oracle of its
+// differential tests and join scaling gate, in _test.go files, which
+// the linter does not load.
 type mergeFixpointRule struct{}
 
 func (mergeFixpointRule) ID() string { return "merge-fixpoint" }

@@ -46,12 +46,12 @@ type MergeDecision struct {
 // safe; Decisions returns them in a canonical order independent of the
 // recording interleaving, so a parallel batch run, a sequential run and
 // the streaming engine produce identical logs over the same traces.
-// The join engine honors the same contract from the other side: when a
-// log is attached, the collapse runs its reference restart scan so join
-// decisions land in the canonical scan order (memoized verdicts still
-// record — a memo hit replays the cached outcome into the log), and the
-// worklist fast path is reserved for un-logged runs, which produce the
-// identical model.
+// The join side of that order is the one sequential collapse psm runs,
+// logged or not: phase 1's decisions in its scan order, then the
+// worklist fixpoint's — each rejected probe when it is made and each
+// collapse, as one accepting decision, when it is performed. Memoized
+// verdicts still record (a memo hit replays the cached outcome), and a
+// speculative accept that never collapses is not a decision.
 type ProvenanceLog struct {
 	mu sync.Mutex
 	ds []MergeDecision

@@ -120,10 +120,10 @@ func BuildChains(ctx context.Context, fts []*trace.Functional, pws []*trace.Powe
 // tree, and the order-dependent collapse runs once at the root. Because
 // psm.Concat is associative in the chain order, every tree shape — and
 // therefore every worker count — produces the same pooled model, and the
-// root collapse is the same code the sequential psm.Join runs — the
-// worklist engine by default, the provenance-ordered restart scan when a
-// log is attached, both replaying the identical collapse sequence: the
-// result is bit-identical to psm.Join(chains, policy).
+// root collapse is the same code the sequential psm.Join runs, with or
+// without a provenance log attached: the result is bit-identical to
+// psm.Join(chains, policy), and the join decisions are logged in the
+// same order for every worker count.
 func TreeJoin(ctx context.Context, chains []*psm.Chain, policy psm.MergePolicy, workers int) (*psm.Model, error) {
 	if len(chains) == 0 {
 		return psm.Join(nil, policy), nil

@@ -27,22 +27,36 @@ func TestForEachRunsAll(t *testing.T) {
 	}
 }
 
+// TestForEachPropagatesFirstError: item 3 fails, and every later item
+// blocks until the pool's context is cancelled, so no worker can finish
+// one and take another before the failure has stopped the pool. The
+// items that run are therefore 0..3 plus at most one blocked item per
+// other worker — a bound that holds for every schedule, unlike a count
+// of how far the pool got.
 func TestForEachPropagatesFirstError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 2, 8} {
-		var ran int32
-		err := ForEach(context.Background(), workers, 1000, func(_ context.Context, i int) error {
-			atomic.AddInt32(&ran, 1)
-			if i == 3 {
+		var ran [1000]atomic.Bool
+		err := ForEach(context.Background(), workers, len(ran), func(ctx context.Context, i int) error {
+			ran[i].Store(true)
+			switch {
+			case i == 3:
 				return fmt.Errorf("item %d: %w", i, boom)
+			case i > 3:
+				<-ctx.Done()
 			}
 			return nil
 		})
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v, want wrapped boom", workers, err)
 		}
-		if n := atomic.LoadInt32(&ran); n == 1000 {
-			t.Errorf("workers=%d: pool did not stop after the failure", workers)
+		for i := range ran {
+			if i <= 3 && !ran[i].Load() {
+				t.Errorf("workers=%d: item %d before the failure never ran", workers, i)
+			}
+			if i >= 3+workers && ran[i].Load() {
+				t.Errorf("workers=%d: item %d ran after the failure stopped the pool", workers, i)
+			}
 		}
 	}
 }

@@ -13,9 +13,9 @@ import (
 // retained scalar ReferenceEstimator bit for bit — exact float64 bits on
 // the total trace and on every per-group trace — for every benchmark IP,
 // many stimulus seeds, with and without a subcomponent classifier. This
-// is the PR 5 pattern (worklist join vs JoinPooledReferenceCtx) applied
-// to the power kernel: no speed number counts until the outputs are
-// pinned byte-identical.
+// is the worklist join's pattern (checked against its restart-scan
+// oracle in internal/psm) applied to the power kernel: no speed number
+// counts until the outputs are pinned byte-identical.
 
 // diffIPs are the four benchmark cores of Table I.
 var diffIPs = []struct {

@@ -22,16 +22,16 @@
 // deterministic measurement jitter is added per cycle so reference traces
 // exhibit the σ > 0 that real gate-level power reports show.
 //
-// Two kernels share that model. Estimator is the production kernel: it
-// binds the core's elements to an hdl.ToggleBank and consumes a cycle's
-// activity by scanning the bank's packed bit planes — untouched, gated
-// words are skipped 64 elements per compare — with boundary I/O diffed
-// through index-stable pre-bound vector slots instead of cloned maps.
-// ReferenceEstimator is the historical per-element walk, retained as the
-// differential oracle: both kernels visit charged elements in the same
-// index order and perform the same float operations, so their traces are
-// bit-identical (zero-contribution elements the columnar kernel skips
-// would have added exactly 0.0, the IEEE-754 additive identity for the
+// Estimator binds the core's elements to an hdl.ToggleBank and consumes
+// a cycle's activity by scanning the bank's packed bit planes —
+// untouched, gated words are skipped 64 elements per compare — with
+// boundary I/O diffed through index-stable pre-bound vector slots
+// instead of cloned maps. The package's tests keep the historical
+// per-element scalar walk as the differential oracle: both kernels
+// visit charged elements in the same index order and perform the same
+// float operations, so their traces are bit-identical
+// (zero-contribution elements the columnar kernel skips would have
+// added exactly 0.0, the IEEE-754 additive identity for the
 // non-negative sums involved).
 package power
 

@@ -56,10 +56,7 @@ func randMergeModel(rng *rand.Rand) *Model {
 // joinReference runs the pre-worklist engine — unmemoized restart-scan
 // fixpoint — as the differential oracle.
 func joinReference(m *Model, policy MergePolicy) *Model {
-	mg := plainMerger(policy, phaseJoin, -1)
-	mg.memo = nil
-	mg.forceScan = true
-	return joinPooledWith(mg, m)
+	return joinPooledScan(context.Background(), m, policy)
 }
 
 // TestWorklistMatchesReference is the engine-equivalence property: for

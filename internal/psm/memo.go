@@ -22,10 +22,11 @@ const defaultMemoEntries = 1 << 20
 // JoinPooled and successive streaming snapshots, as long as every user
 // runs the same policy (NewEvalMemo pins it; Joiner enforces it).
 //
-// The restart-scan and worklist merge engines both re-examine state
-// pairs whose moments have not changed since the last look; the memo
-// turns every such repeat into a map hit, so the expensive Welch /
-// one-sample evaluations run once per distinct evidence pair.
+// Simplify's restart passes and the worklist's re-probes both
+// re-examine state pairs whose moments have not changed since the last
+// look; the memo turns every such repeat into a map hit, so the
+// expensive Welch / one-sample evaluations run once per distinct
+// evidence pair.
 //
 // An EvalMemo is not goroutine-safe: each merge pass (or the engine
 // lock of a streaming daemon) owns it exclusively.

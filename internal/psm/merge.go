@@ -351,25 +351,16 @@ func JoinPooled(m *Model, policy MergePolicy) *Model {
 	return joinPooledWith(plainMerger(policy, phaseJoin, -1), m)
 }
 
-// joinPooledWith routes JoinPooled through a merger (see simplifyWith)
-// and selects the collapse engine. The two engines produce bit-identical
-// models — the worklist performs exactly the restart scan's collapse
-// sequence (see collapseWorklist) — but they examine state pairs in
-// different orders, so when a provenance log is attached the canonical
-// restart-scan order is used: the audit log's decision sequence is a
-// documented, replayable format (internal/obs) that must not depend on
-// which engine produced the model. All repeated evaluations still hit
-// the mergeability memo either way.
+// joinPooledWith routes JoinPooled through a merger (see simplifyWith):
+// the greedy phase-1 pass, then the worklist fixpoint, whether or not a
+// provenance log is attached — the log records the decisions in the
+// order this one engine makes them (see merger.decide).
 func joinPooledWith(mg merger, m *Model) *Model {
 	// Merged state ids are tracked in an alias table and the transitions
 	// are rewired once at the end — collapsing is then O(alts), not O(T).
 	alias := map[int]int{}
 	joinPhase1(&mg, m, alias)
-	if mg.prov != nil || mg.forceScan {
-		joinFixpointScan(&mg, m, alias)
-	} else {
-		collapseWorklist(&mg, m, alias)
-	}
+	collapseWorklist(&mg, m, alias)
 	resolveTransitions(m, alias)
 	reindex(m)
 	return m
@@ -402,32 +393,6 @@ func joinPhase1(mg *merger, m *Model, alias map[int]int) {
 	}
 }
 
-// joinFixpointScan is the reference fixpoint engine: pooling moved the
-// kept states' means, so pairs that were not mergeable against the early
-// evidence may be now; rescan all pairs from the top after every
-// collapse until none merges. Each collapse therefore costs a fresh
-// O(n²) pair scan — the superlinear core the worklist engine replaces —
-// but the scan visits pairs in the canonical order the provenance log
-// documents, so it remains the decision path whenever an audit log is
-// attached (every repeated verdict is a memo hit, so even this path no
-// longer recomputes the t-tests).
-func joinFixpointScan(mg *merger, m *Model, alias map[int]int) {
-	for {
-		found := false
-		for i := 0; i < len(m.States) && !found; i++ {
-			for j := i + 1; j < len(m.States) && !found; j++ {
-				if mg.mergeable(m.States[i], m.States[j]) {
-					collapse(m, alias, i, j)
-					found = true
-				}
-			}
-		}
-		if !found {
-			break
-		}
-	}
-}
-
 // pairItem is one candidate collapse in the worklist: the two states by
 // phase-2 rank, the versions of their evidence when the verdict was
 // computed, and the verdict's case (for the merge counters).
@@ -438,8 +403,8 @@ type pairItem struct {
 }
 
 // pairHeap is a binary min-heap of mergeable pairs ordered
-// lexicographically by rank — the same "first pair in scan order" the
-// reference engine's restart scan selects.
+// lexicographically by rank — the same "first pair in scan order" a
+// restart scan selects.
 type pairHeap []pairItem
 
 func (h pairHeap) less(i, j int) bool {
@@ -487,9 +452,11 @@ func (h *pairHeap) pop() pairItem {
 	return top
 }
 
-// collapseWorklist is the incremental fixpoint engine. It reproduces the
-// restart scan's collapse sequence exactly without the restarts, from
-// two facts:
+// collapseWorklist is the join's fixpoint: pooling moved the kept
+// states' means, so pairs phase 1 rejected may merge now. It performs
+// exactly the collapse sequence of a restart scan (rescan all pairs
+// after every collapse; the package tests keep it as the oracle)
+// without the restarts, from two facts:
 //
 //   - the restart scan always collapses the lexicographically least
 //     (by slice position) mergeable pair — every pair before it was just
@@ -499,7 +466,7 @@ func (h *pairHeap) pop() pairItem {
 //     involving a (whose evidence pooled) or b (which is gone).
 //
 // So: seed a min-heap with every mergeable pair of one full pass (the
-// reference engine pays at least that to certify the fixpoint), and
+// restart scan pays at least that to certify the fixpoint), and
 // after each collapse re-probe only the n−1 pairs involving the merged
 // state. Stale heap entries — a dead endpoint, or evidence that changed
 // since the verdict — are skipped lazily via per-state versions. Ranks
@@ -509,6 +476,10 @@ func (h *pairHeap) pop() pairItem {
 // Per collapse the work drops from O(n²) re-evaluations to O(n) probes
 // (mostly memo hits), taking the fixpoint from ~O(n³) Evaluate calls to
 // O(n²) verdict lookups overall.
+//
+// A provenance log gets this engine's own order: the seeding pass's
+// rejections, then per collapse its accept and the re-probe's
+// rejections — at most n(n−1)/2 + collapses·(n−1) entries.
 func collapseWorklist(mg *merger, m *Model, alias map[int]int) {
 	n := len(m.States)
 	if n < 2 {
@@ -521,8 +492,8 @@ func collapseWorklist(mg *merger, m *Model, alias map[int]int) {
 
 	// probe records the decision for the counters and enqueues the pair
 	// when it is currently mergeable. Argument order is (earlier rank,
-	// later rank) — the reference scan's (i, j) order, which keeps the
-	// memo keys shared between both engines.
+	// later rank) — the restart scan's (i, j) order, which keeps memo
+	// keys and the logged A/B orientation the same as in phase 1.
 	probe := func(ra, rb int) {
 		out := mg.decide(byRank[ra], byRank[rb])
 		if out.Accept {
@@ -541,8 +512,13 @@ func collapseWorklist(mg *merger, m *Model, alias map[int]int) {
 			continue // stale: an endpoint died or its evidence changed
 		}
 		a, b := byRank[it.ra], byRank[it.rb]
-		mergeStates(alias, m.Initials, a, b)
 		mg.countMerge(it.cse)
+		if mg.prov != nil {
+			// The pair's evidence is unchanged since its probe and a
+			// verdict is pure in the moments: Evaluate re-derives it.
+			mg.record(a, b, mg.policy.Evaluate(a.Power, b.Power))
+		}
+		mergeStates(alias, m.Initials, a, b)
 		byRank[it.rb] = nil
 		ver[it.ra]++
 		// Re-enqueue only pairs involving the merged state; everything
@@ -558,8 +534,8 @@ func collapseWorklist(mg *merger, m *Model, alias map[int]int) {
 			}
 		}
 	}
-	// Compact the survivors in rank order — the order the reference
-	// engine's in-place removals preserve.
+	// Compact the survivors in rank order — the order a restart scan's
+	// in-place removals preserve.
 	out := m.States[:0]
 	for _, s := range byRank {
 		if s != nil {
@@ -579,9 +555,8 @@ func collapse(m *Model, alias map[int]int, ai, bi int) {
 }
 
 // mergeStates folds state b into state a without touching the state
-// slice — the collapse half the worklist engine and the streaming Joiner
-// share with the reference engine, so every path merges evidence
-// identically.
+// slice — the collapse half phase 1, the worklist engine and the
+// streaming Joiner share, so every path merges evidence identically.
 func mergeStates(alias, initials map[int]int, a, b *State) {
 	for _, alt := range b.Alts {
 		key := alt.Seq.Key()

@@ -28,23 +28,19 @@ type merger struct {
 	phase  string
 	trace  int
 	// memo caches Evaluate verdicts by moments pair; nil forces every
-	// check to recompute (the unmemoized reference configuration the
-	// benchmarks compare against).
-	memo *EvalMemo
-	// forceScan pins the canonical restart-scan fixpoint even without a
-	// provenance log (JoinPooledReferenceCtx — the old engine, kept as
-	// the benchmark baseline and differential-test oracle).
-	forceScan bool
-	prov      *obs.ProvenanceLog
-	checks    *obs.Counter    // one tick per mergeability probe
-	evals     *obs.Counter    // one tick per real Evaluate computation (memo miss)
-	cases     [4]*obs.Counter // indexed by MergeOutcome.Case, 1..3; ticks per collapse
+	// check to recompute (the unmemoized configuration the join scaling
+	// gate's restart-scan oracle runs).
+	memo   *EvalMemo
+	prov   *obs.ProvenanceLog
+	checks *obs.Counter    // one tick per mergeability probe
+	evals  *obs.Counter    // one tick per real Evaluate computation (memo miss)
+	cases  [4]*obs.Counter // indexed by MergeOutcome.Case, 1..3; ticks per collapse
 }
 
 // plainMerger is the sink-free merger of the non-context entry points.
-// Even without observation sinks it memoizes verdicts: the restart scans
-// of Simplify and the join fixpoint re-examine unchanged pairs
-// constantly, and a memoized verdict is exact (see EvalMemo).
+// Even without observation sinks it memoizes verdicts: Simplify's
+// restart passes and the join fixpoint's re-probes re-examine unchanged
+// pairs constantly, and a memoized verdict is exact (see EvalMemo).
 func plainMerger(policy MergePolicy, phase string, traceIdx int) merger {
 	return merger{policy: policy, phase: phase, trace: traceIdx, memo: NewEvalMemo(policy)}
 }
@@ -79,29 +75,23 @@ func (mg *merger) evaluate(a, b stats.Moments) MergeOutcome {
 }
 
 // decide is the worklist engine's probe: a counted, memoized verdict
-// with no per-case accounting — the worklist enqueues accepting pairs
-// speculatively and only pairs that actually collapse count as merges
-// (countMerge), keeping the psm_merges_case* counters identical to the
-// reference engine's, where every accept is immediately a collapse.
-// The worklist runs only when no provenance log is attached, so decide
-// records nothing.
+// with no per-case accounting. The worklist enqueues accepting pairs
+// speculatively; only a pair it collapses counts as a merge and is
+// logged as an accept (see collapseWorklist). A rejection is final for
+// the pair's current evidence, so it is logged here, when it is made.
 func (mg *merger) decide(a, b *State) MergeOutcome {
 	out := mg.evaluate(a.Power, b.Power)
 	mg.checks.Inc()
+	if !out.Accept && mg.prov != nil {
+		mg.record(a, b, out)
+	}
 	return out
 }
 
-// countMerge ticks the per-case merge counter for one actual collapse.
-func (mg *merger) countMerge(cse int) {
-	if cse >= 1 && cse <= 3 {
-		mg.cases[cse].Inc()
-	}
-}
-
 // mergeable decides whether two states' power attributes merge,
-// recording the decision when a sink is attached. In the scan engines
-// every accepted probe collapses immediately, so per-case counters tick
-// here on accept.
+// recording the decision when a sink is attached. In simplify and join
+// phase 1 every accepted probe collapses immediately, so per-case
+// counters tick here on accept.
 func (mg *merger) mergeable(a, b *State) bool {
 	if mg.prov == nil && mg.checks == nil {
 		if mg.memo == nil {
@@ -114,6 +104,21 @@ func (mg *merger) mergeable(a, b *State) bool {
 	if out.Accept {
 		mg.countMerge(out.Case)
 	}
+	if mg.prov != nil {
+		mg.record(a, b, out)
+	}
+	return out.Accept
+}
+
+// countMerge ticks the per-case merge counter for one actual collapse.
+func (mg *merger) countMerge(cse int) {
+	if cse >= 1 && cse <= 3 {
+		mg.cases[cse].Inc()
+	}
+}
+
+// record appends one decision to the attached provenance log.
+func (mg *merger) record(a, b *State, out MergeOutcome) {
 	mg.prov.Record(obs.MergeDecision{
 		Phase:     mg.phase,
 		Trace:     mg.trace,
@@ -126,7 +131,6 @@ func (mg *merger) mergeable(a, b *State) bool {
 		T:         out.T,
 		Accept:    out.Accept,
 	})
-	return out.Accept
 }
 
 func momentsRecord(id int, m stats.Moments) obs.MomentsRecord {
@@ -177,22 +181,6 @@ func JoinPooledMemoCtx(ctx context.Context, m *Model, memo *EvalMemo) *Model {
 	_, span := obs.Start(ctx, "collapse", obs.KV("states_in", len(m.States)))
 	mg := newMerger(ctx, memo.Policy(), phaseJoin, -1)
 	mg.memo = memo
-	out := joinPooledWith(mg, m)
-	span.SetAttr("states_out", len(out.States))
-	span.End()
-	return out
-}
-
-// JoinPooledReferenceCtx is JoinPooledCtx pinned to the unmemoized
-// restart-scan engine — the join exactly as shipped before the
-// incremental engine landed. It exists for the differential parity
-// tests and the scaling benchmarks, which need the historical baseline
-// as an oracle; production callers want JoinPooledCtx.
-func JoinPooledReferenceCtx(ctx context.Context, m *Model, policy MergePolicy) *Model {
-	_, span := obs.Start(ctx, "collapse", obs.KV("states_in", len(m.States)))
-	mg := newMerger(ctx, policy, phaseJoin, -1)
-	mg.memo = nil
-	mg.forceScan = true
 	out := joinPooledWith(mg, m)
 	span.SetAttr("states_out", len(out.States))
 	span.End()

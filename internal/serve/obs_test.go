@@ -147,25 +147,41 @@ func TestProvenanceParityWithBatch(t *testing.T) {
 	}
 }
 
+// TestProvenanceEmptyAndMethod pins the read surface before any trace
+// has completed, on one engine and on 2 shards: the model, estimate and
+// provenance endpoints answer 404 (the backend's ErrNoTraces), and a
+// POST to /v1/provenance is 405.
 func TestProvenanceEmptyAndMethod(t *testing.T) {
-	srv := newTestServer()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	for _, shards := range []int{0, 2} {
+		srv := newShardedTestServer(shards)
+		ts := httptest.NewServer(srv.Handler())
 
-	resp, err := http.Get(ts.URL + "/v1/provenance")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("empty engine: status %d, want 404", resp.StatusCode)
-	}
-	resp.Body.Close()
+		for _, path := range []string{"/v1/model", "/v1/provenance"} {
+			resp, err := http.Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("shards=%d: GET %s on an empty backend: status %d, want 404", shards, path, resp.StatusCode)
+			}
+			resp.Body.Close()
+		}
+		resp := mustPost(t, ts.URL+"/v1/estimate", genNDJSON(t, 1, 10, false))
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("shards=%d: POST /v1/estimate on an empty backend: status %d, want 404", shards, resp.StatusCode)
+		}
+		resp.Body.Close()
 
-	resp = mustPost(t, ts.URL+"/v1/provenance", strings.NewReader(""))
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST: status %d, want 405", resp.StatusCode)
+		resp = mustPost(t, ts.URL+"/v1/provenance", strings.NewReader(""))
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("shards=%d: POST: status %d, want 405", shards, resp.StatusCode)
+		}
+		resp.Body.Close()
+		ts.Close()
+		if err := srv.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	resp.Body.Close()
 }
 
 // TestMetricsDuringUploads hammers GET /metrics (both formats) while

@@ -362,8 +362,8 @@ type ingestResult struct {
 // Admission-control and load-shed rejections are 429s carrying a
 // Retry-After hint: the shard's enqueue timeout when a queue shed the
 // upload (that is how long it actually stayed full), the configured
-// single-engine hint when the open-session cap rejected it. Everything
-// else is the client's malformed stream — 400.
+// hint when an engine's open-session cap rejected it. Everything else
+// is the client's malformed stream — 400.
 func (s *Server) ingestError(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
 	var sat *shard.SaturatedError
@@ -371,7 +371,7 @@ func (s *Server) ingestError(w http.ResponseWriter, err error) {
 	case errors.As(err, &sat):
 		code = http.StatusTooManyRequests
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(sat.RetryAfter)))
-	case strings.Contains(err.Error(), "sessions already open"):
+	case errors.Is(err, stream.ErrSessionCap):
 		code = http.StatusTooManyRequests
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
 	}
@@ -651,7 +651,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	m, err := s.snapshot(r.Context())
 	if err != nil {
 		code := http.StatusInternalServerError
-		if strings.Contains(err.Error(), "no completed traces") {
+		if errors.Is(err, stream.ErrNoTraces) {
 			code = http.StatusNotFound
 		}
 		if errors.Is(err, r.Context().Err()) && r.Context().Err() != nil {
@@ -696,7 +696,7 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 	ds, err := s.provenance(r.Context())
 	if err != nil {
 		code := http.StatusInternalServerError
-		if strings.Contains(err.Error(), "no completed traces") {
+		if errors.Is(err, stream.ErrNoTraces) {
 			code = http.StatusNotFound
 		}
 		http.Error(w, err.Error(), code)
@@ -732,7 +732,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	m, err := s.snapshot(r.Context())
 	if err != nil {
 		code := http.StatusInternalServerError
-		if strings.Contains(err.Error(), "no completed traces") {
+		if errors.Is(err, stream.ErrNoTraces) {
 			code = http.StatusNotFound
 		}
 		http.Error(w, err.Error(), code)

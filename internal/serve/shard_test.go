@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"psmkit/internal/shard"
+	"psmkit/internal/stream"
 )
 
 func newShardedTestServer(shards int) *Server {
@@ -28,57 +30,72 @@ type shardedIngestResult struct {
 	Shard   *int `json:"shard"`
 }
 
-// TestAdmission429RetryAfter pins the single-engine admission contract:
-// when the open-session cap rejects an upload, the 429 carries the
-// configured Retry-After hint so a well-behaved client backs off
-// instead of hammering the cap.
+// TestAdmission429RetryAfter pins the admission contract on one engine
+// and on 2 shards: when an engine's open-session cap rejects an upload,
+// the 429 carries the configured Retry-After hint so a well-behaved
+// client backs off instead of hammering the cap. On 2 shards the cap is
+// per shard, so the rejected upload's session id routes to the shard
+// that holds the open session.
 func TestAdmission429RetryAfter(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Stream.Inputs = []string{"op"}
-	cfg.Stream.MaxOpenSessions = 1
-	cfg.RetryAfter = 3 * time.Second
-	srv := New(cfg)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	for _, shards := range []int{0, 2} {
+		cfg := DefaultConfig()
+		cfg.Stream.Inputs = []string{"op"}
+		cfg.Stream.MaxOpenSessions = 1
+		cfg.RetryAfter = 3 * time.Second
+		cfg.Shards = shards
+		srv := New(cfg)
+		ts := httptest.NewServer(srv.Handler())
 
-	// Hold one session open: stream the header and wait for the server
-	// to register it.
-	pr, pw := io.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		resp, err := http.Post(ts.URL+"/v1/traces", "application/x-ndjson", pr)
-		if err == nil {
-			readAll(t, resp)
+		rejected := "second"
+		if co := srv.Coordinator(); co != nil {
+			for i := 0; co.ShardOf(rejected) != co.ShardOf("held"); i++ {
+				rejected = fmt.Sprintf("second-%d", i)
+			}
 		}
-	}()
-	full := genNDJSON(t, 11, 50, true).Bytes()
-	if _, err := pw.Write(full); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Engine().Metrics().OpenSessions == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("server never opened the held session")
+
+		// Hold one session open: stream the header and wait for the
+		// server to register it.
+		pr, pw := io.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			resp, err := http.Post(ts.URL+"/v1/traces?session=held", "application/x-ndjson", pr)
+			if err == nil {
+				readAll(t, resp)
+			}
+		}()
+		full := genNDJSON(t, 11, 50, true).Bytes()
+		if _, err := pw.Write(full); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		deadline := time.Now().Add(5 * time.Second)
+		for srv.Metrics().OpenSessions == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("shards=%d: server never opened the held session", shards)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 
-	// A second upload must be shed with 429 + Retry-After.
-	resp := mustPost(t, ts.URL+"/v1/traces", genNDJSON(t, 12, 10, true))
-	body := readAll(t, resp)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-cap upload: status %d, want 429 (%s)", resp.StatusCode, body)
-	}
-	if got := resp.Header.Get("Retry-After"); got != "3" {
-		t.Fatalf("Retry-After = %q, want \"3\"", got)
-	}
-	if !strings.Contains(body, "sessions already open") {
-		t.Fatalf("unexpected rejection body: %s", body)
-	}
+		// A second upload must be shed with 429 + Retry-After.
+		resp := mustPost(t, ts.URL+"/v1/traces?session="+rejected, genNDJSON(t, 12, 10, true))
+		body := readAll(t, resp)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("shards=%d: over-cap upload: status %d, want 429 (%s)", shards, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get("Retry-After"); got != "3" {
+			t.Fatalf("shards=%d: Retry-After = %q, want \"3\"", shards, got)
+		}
+		if !strings.Contains(body, "sessions already open") {
+			t.Fatalf("shards=%d: unexpected rejection body: %s", shards, body)
+		}
 
-	pw.Close()
-	<-done
+		pw.Close()
+		<-done
+		ts.Close()
+		if err := srv.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestIngestErrorMapping pins the error→status mapping of the ingest
@@ -95,6 +112,16 @@ func TestIngestErrorMapping(t *testing.T) {
 	}
 	if got := rec.Header().Get("Retry-After"); got != "2" {
 		t.Fatalf("saturated Retry-After = %q, want \"2\" (1.5s rounds up)", got)
+	}
+
+	// The open-session cap is matched by type, whatever wraps it.
+	rec = httptest.NewRecorder()
+	srv.ingestError(rec, fmt.Errorf("shard 1: %w", stream.ErrSessionCap))
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("session cap: status %d, want 429", rec.Code)
+	}
+	if got := rec.Header().Get("Retry-After"); got == "" {
+		t.Fatal("session cap: 429 without Retry-After")
 	}
 
 	rec = httptest.NewRecorder()

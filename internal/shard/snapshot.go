@@ -120,7 +120,7 @@ func (c *Coordinator) Snapshot(ctx context.Context) (*psm.Model, error) {
 	schema, candidates := c.schema, c.candidates
 	c.mu.Unlock()
 	if len(candidates) == 0 {
-		return nil, fmt.Errorf("shard: no completed traces")
+		return nil, fmt.Errorf("shard: %w", stream.ErrNoTraces)
 	}
 
 	release, err := c.holdAll(ctx)
@@ -131,7 +131,7 @@ func (c *Coordinator) Snapshot(ctx context.Context) (*psm.Model, error) {
 
 	cut := c.miningCut(candidates)
 	if cut.traces == 0 {
-		return nil, fmt.Errorf("shard: no completed traces")
+		return nil, fmt.Errorf("shard: %w", stream.ErrNoTraces)
 	}
 	idx := mining.SelectIndices(candidates, cut.stats, cut.rows, c.cfg.Stream.Mining)
 	if len(idx) == 0 {
@@ -234,7 +234,7 @@ func (c *Coordinator) Provenance(ctx context.Context) ([]obs.MergeDecision, erro
 	schema, candidates := c.schema, c.candidates
 	c.mu.Unlock()
 	if len(candidates) == 0 {
-		return nil, fmt.Errorf("shard: no completed traces")
+		return nil, fmt.Errorf("shard: %w", stream.ErrNoTraces)
 	}
 
 	release, err := c.holdAll(ctx)
@@ -245,7 +245,7 @@ func (c *Coordinator) Provenance(ctx context.Context) ([]obs.MergeDecision, erro
 
 	cut := c.miningCut(candidates)
 	if cut.traces == 0 {
-		return nil, fmt.Errorf("shard: no completed traces")
+		return nil, fmt.Errorf("shard: %w", stream.ErrNoTraces)
 	}
 	idx := mining.SelectIndices(candidates, cut.stats, cut.rows, c.cfg.Stream.Mining)
 	if len(idx) == 0 {

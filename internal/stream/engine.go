@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -13,6 +14,14 @@ import (
 	"psmkit/internal/pipeline"
 	"psmkit/internal/psm"
 	"psmkit/internal/trace"
+)
+
+// ErrSessionCap (Open at MaxOpenSessions) and ErrNoTraces (a snapshot
+// or provenance replay before any session completed) are wrapped by the
+// engine and shard.Coordinator; callers match them with errors.Is.
+var (
+	ErrSessionCap = errors.New("open-session cap reached")
+	ErrNoTraces   = errors.New("no completed traces")
 )
 
 // Config tunes the streaming engine. The flow policies are the batch
@@ -265,7 +274,7 @@ func (e *Engine) Open(sigs []trace.Signal) (*Session, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.cfg.MaxOpenSessions > 0 && e.openCount >= e.cfg.MaxOpenSessions {
-		return nil, fmt.Errorf("stream: %d sessions already open (limit %d)", e.openCount, e.cfg.MaxOpenSessions)
+		return nil, fmt.Errorf("stream: %d sessions already open (limit %d): %w", e.openCount, e.cfg.MaxOpenSessions, ErrSessionCap)
 	}
 	if e.schema == nil {
 		if len(sigs) == 0 {
@@ -499,7 +508,7 @@ func (e *Engine) Snapshot(ctx context.Context) (*psm.Model, error) {
 	defer e.mu.Unlock()
 
 	if len(e.completed) == 0 {
-		return nil, fmt.Errorf("stream: no completed traces")
+		return nil, fmt.Errorf("stream: %w", ErrNoTraces)
 	}
 	idx := mining.SelectIndices(e.candidates, e.stats, e.totalRows, e.cfg.Mining)
 	if len(idx) == 0 {
@@ -658,7 +667,7 @@ func (e *Engine) Provenance(ctx context.Context) ([]obs.MergeDecision, error) {
 	defer e.mu.Unlock()
 
 	if len(e.completed) == 0 {
-		return nil, fmt.Errorf("stream: no completed traces")
+		return nil, fmt.Errorf("stream: %w", ErrNoTraces)
 	}
 	idx := mining.SelectIndices(e.candidates, e.stats, e.totalRows, e.cfg.Mining)
 	if len(idx) == 0 {

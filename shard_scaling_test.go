@@ -213,7 +213,7 @@ func ingestOne(eng *stream.Engine, sigs []trace.Signal, payload []byte, batch in
 // The throughput half — aggregate ingest >=3x at 4 shards vs 1 — is
 // enforced when the host has the parallel headroom to make the claim
 // honest (GOMAXPROCS >= shardGateMinProcs); below that the measured
-// scaling is logged and recorded by scripts/loadgen in BENCH_shard.json.
+// scaling is only logged.
 func TestShardScalingGate(t *testing.T) {
 	if os.Getenv("BENCH_SHARD") == "" {
 		t.Skip("set BENCH_SHARD=1 (or run `make bench-shard`) to run the shard scaling gate")
