@@ -117,6 +117,7 @@ fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzVCDParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/check -run '^$$' -fuzz FuzzModelJSON -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stream -run '^$$' -fuzz FuzzWireScan -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzRegressionMerge -fuzztime $(FUZZTIME)
 
 ci: fmt vet build race lint verify fuzz psmd-smoke bench-selftest
 	@echo "ci: all gates passed"

@@ -158,12 +158,14 @@ func (j *Joiner) Add(ctx context.Context, c *Chain) {
 //     ever copies phases into fresh slices, never writes them;
 //   - Intervals: shared backing, capacity clamped to length, so a
 //     fixpoint append copies-on-write instead of scribbling into the
-//     joiner's array.
+//     joiner's array;
+//   - Calib: copied (the fixpoint merges sums into the clone).
 func sharedClone(s *State) *State {
 	ns := &State{
 		ID:        s.ID,
 		Alts:      append([]Alt(nil), s.Alts...),
 		Power:     s.Power,
+		Calib:     cloneCalib(s.Calib),
 		Intervals: s.Intervals[:len(s.Intervals):len(s.Intervals)],
 	}
 	if s.Fit != nil {

@@ -232,13 +232,15 @@ func simplifyWith(mg merger, c *Chain) *Chain {
 
 // mergeAdjacent folds state b (the immediate successor of a in the chain)
 // into a: the cascade concatenates, the intervals concatenate (they are
-// adjacent in the trace) and the power attributes pool exactly.
+// adjacent in the trace) and the power attributes and calibration sums
+// pool exactly.
 func mergeAdjacent(a, b *State) *State {
 	out := clonedState(a)
 	// Both a and b are single-alternative at simplify time (join has not
 	// run yet); the cascades concatenate.
 	out.Alts[0].Seq.Phases = append(out.Alts[0].Seq.Phases, b.Alts[0].Seq.Phases...)
 	out.Power.Merge(b.Power)
+	mergeCalib(out, b)
 	// Adjacent intervals coalesce into [start_a, stop_b].
 	last := out.Intervals[len(out.Intervals)-1]
 	bi := b.Intervals[0]
@@ -557,6 +559,8 @@ func collapse(m *Model, alias map[int]int, ai, bi int) {
 // mergeStates folds state b into state a without touching the state
 // slice — the collapse half phase 1, the worklist engine and the
 // streaming Joiner share, so every path merges evidence identically.
+// The calibration sums pool exactly, so the order in which a path
+// merges never reaches a fit (see Calibrate).
 func mergeStates(alias, initials map[int]int, a, b *State) {
 	for _, alt := range b.Alts {
 		key := alt.Seq.Key()
@@ -576,6 +580,7 @@ func mergeStates(alias, initials map[int]int, a, b *State) {
 		}
 	}
 	a.Power.Merge(b.Power)
+	mergeCalib(a, b)
 	a.Intervals = append(a.Intervals, b.Intervals...)
 
 	alias[b.ID] = a.ID
@@ -583,6 +588,16 @@ func mergeStates(alias, initials map[int]int, a, b *State) {
 		initials[a.ID] += n
 		delete(initials, b.ID)
 	}
+}
+
+// mergeCalib pools b's calibration sums into a's. A merged state carries
+// sums only when both did; otherwise its sums would miss evidence.
+func mergeCalib(a, b *State) {
+	if a.Calib == nil || b.Calib == nil {
+		a.Calib = nil
+		return
+	}
+	a.Calib.Merge(b.Calib)
 }
 
 // findAlias chases the alias chain from id to its surviving root with

@@ -188,12 +188,17 @@ func JoinPooledMemoCtx(ctx context.Context, m *Model, memo *EvalMemo) *Model {
 }
 
 // CalibrateCtx is Calibrate under a "calibrate" span; the number of
-// fitted states feeds the psm_calibration_fits_total counter.
+// fitted states feeds the psm_calibration_fits_total counter and the
+// per-instant samples walked (states without carried sums) feed
+// psm_calibrate_samples_total.
 func CalibrateCtx(ctx context.Context, m *Model, fts []*trace.Functional, pws []*trace.Power, inputCols []int, policy CalibrationPolicy) int {
 	_, span := obs.Start(ctx, "calibrate", obs.KV("states", len(m.States)))
-	n := Calibrate(m, fts, pws, inputCols, policy)
+	n, walked := calibrate(m, fts, pws, inputCols, policy)
 	span.SetAttr("fits", n)
+	span.SetAttr("samples", walked)
 	span.End()
-	obs.RegistryFrom(ctx).Counter("psm_calibration_fits_total").Add(int64(n))
+	reg := obs.RegistryFrom(ctx)
+	reg.Counter("psm_calibration_fits_total").Add(int64(n))
+	reg.Counter("psm_calibrate_samples_total").Add(int64(walked))
 	return n
 }

@@ -106,6 +106,13 @@ type State struct {
 	ID    int
 	Alts  []Alt
 	Power stats.Moments // exact ⟨n, Σδ, Σδ²⟩ ⇒ ⟨μ, σ, n⟩ on demand
+	// Calib carries the exact calibration sums ⟨n, Σx, Σx², Σy, Σxy, Σy²⟩
+	// (x the primary-input Hamming distance, y the power) over the
+	// supporting instants, when the state was built with its trace's
+	// series (CarryCalibration); every merge pools it beside Power. It is
+	// nil otherwise — also after merging with a state that carries none —
+	// and Calibrate then walks the intervals.
+	Calib *stats.Regression
 	// Intervals lists the supporting evidence; start/stop arrays of the
 	// paper's join are recovered from here.
 	Intervals []Interval
@@ -232,6 +239,7 @@ func clonedState(s *State) *State {
 		ID:        s.ID,
 		Alts:      make([]Alt, len(s.Alts)),
 		Power:     s.Power,
+		Calib:     cloneCalib(s.Calib),
 		Intervals: append([]Interval(nil), s.Intervals...),
 	}
 	for i, a := range s.Alts {
@@ -242,4 +250,13 @@ func clonedState(s *State) *State {
 		ns.Fit = &f
 	}
 	return ns
+}
+
+// cloneCalib copies a state's calibration sums (nil stays nil).
+func cloneCalib(r *stats.Regression) *stats.Regression {
+	if r == nil {
+		return nil
+	}
+	c := *r
+	return &c
 }

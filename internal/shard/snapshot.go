@@ -177,8 +177,6 @@ func (c *Coordinator) Snapshot(ctx context.Context) (*psm.Model, error) {
 		total += exp.Traces
 	}
 	chains := make([]*psm.Chain, 0, total)
-	hds := make([][]float64, 0, total)
-	pws := make([][]float64, 0, total)
 	base := 0
 	for _, exp := range exps {
 		props := make([]int, len(exp.PropKeys))
@@ -188,8 +186,6 @@ func (c *Coordinator) Snapshot(ctx context.Context) (*psm.Model, error) {
 		for j, ch := range exp.Chains {
 			chains = append(chains, remapChain(ch, gdict, props, base+j))
 		}
-		hds = append(hds, exp.HD...)
-		pws = append(pws, exp.PW...)
 		base += exp.Traces
 	}
 
@@ -197,10 +193,9 @@ func (c *Coordinator) Snapshot(ctx context.Context) (*psm.Model, error) {
 	pooled := len(pool.States)
 	snap := psm.JoinPooledMemoCtx(ctx, pool, c.memo)
 	if !c.cfg.Stream.SkipCalibration {
-		_, calSpan := obs.Start(ctx, "calibrate")
-		fits := psm.CalibrateSeries(snap, hds, pws, c.cfg.Stream.Calibration)
-		calSpan.SetAttr("fits", fits)
-		calSpan.End()
+		// The shard chains carry their calibration sums (remapChain keeps
+		// them), so the served states fit without any stored series.
+		psm.CalibrateCtx(ctx, snap, nil, nil, nil, c.cfg.Stream.Calibration)
 	}
 	// gdict is private to this snapshot (chains are discarded), so the
 	// served model can own it directly; EvalRow readers never race.
@@ -278,7 +273,9 @@ func (c *Coordinator) Provenance(ctx context.Context) ([]obs.MergeDecision, erro
 // remapChain deep-copies one shard-local chain into the global
 // coordinate system: proposition ids through the shard's re-intern
 // table (props[local id] = global id) and every trace reference to the
-// chain's canonical global index. The remap is a bijective relabeling —
+// chain's canonical global index. Power attributes copy unchanged; the
+// calibration sums are shared, since psm.Pool copies every state before
+// the join merges into it. The remap is a bijective relabeling —
 // distinct shard-local ids carry distinct signatures, so distinct
 // global ids — and every merge decision downstream reads propositions
 // only through sequence equality, so the relabeled chain joins exactly
@@ -291,6 +288,7 @@ func remapChain(c *psm.Chain, dict *mining.Dictionary, props []int, traceIdx int
 			ID:        s.ID,
 			Alts:      make([]psm.Alt, len(s.Alts)),
 			Power:     s.Power,
+			Calib:     s.Calib,
 			Intervals: make([]psm.Interval, len(s.Intervals)),
 		}
 		for j, a := range s.Alts {

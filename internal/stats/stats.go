@@ -3,8 +3,8 @@
 // state merging, the Student-t distribution (via the regularized incomplete
 // beta function), Welch's two-sample t-test (mergeability Case 2 of the
 // paper), the one-sample t-test against a single observation (Case 3),
-// Pearson correlation and least-squares linear regression (Hamming-distance
-// power calibration).
+// and Pearson correlation and least-squares linear regression over an
+// exact, mergeable accumulator (Hamming-distance power calibration).
 //
 // Everything is implemented from first principles on top of the standard
 // library, since the flow must run offline with no external dependencies.
@@ -309,38 +309,15 @@ func sign(x float64) int {
 // --- correlation and regression ---------------------------------------------
 
 // Pearson returns the Pearson correlation coefficient of the paired samples
-// xs and ys. It returns 0 when either sample is constant or the slices are
-// shorter than 2. The slices must have equal length.
+// xs and ys. It returns 0 when either sample is constant, the slices are
+// shorter than 2 or a sample is not finite. The slices must have equal
+// length. It is Regression.Pearson over the pairs.
 func Pearson(xs, ys []float64) float64 {
 	if len(xs) != len(ys) {
 		panic("stats: Pearson sample length mismatch")
 	}
-	n := float64(len(xs))
-	if len(xs) < 2 {
-		return 0
-	}
-	var sx, sy, sxx, syy, sxy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		syy += ys[i] * ys[i]
-		sxy += xs[i] * ys[i]
-	}
-	covn := sxy - sx*sy/n
-	vxn := sxx - sx*sx/n
-	vyn := syy - sy*sy/n
-	if vxn <= 0 || vyn <= 0 {
-		return 0
-	}
-	r := covn / math.Sqrt(vxn*vyn)
-	if r > 1 {
-		r = 1
-	}
-	if r < -1 {
-		r = -1
-	}
-	return r
+	r := regressionOf(xs, ys)
+	return r.Pearson()
 }
 
 // LinearFit holds a least-squares line y = Intercept + Slope*x together
@@ -355,30 +332,23 @@ type LinearFit struct {
 func (f LinearFit) Predict(x float64) float64 { return f.Intercept + f.Slope*x }
 
 // LinearRegression fits y = a + b*x by ordinary least squares. It returns
-// an error when fewer than two points are supplied or x is constant (the
-// slope would be undefined).
+// an error when fewer than two points are supplied, x is constant (the
+// slope would be undefined) or a sample is not finite. It is
+// Regression.Fit over the pairs.
 func LinearRegression(xs, ys []float64) (LinearFit, error) {
 	if len(xs) != len(ys) {
 		panic("stats: LinearRegression sample length mismatch")
 	}
-	if len(xs) < 2 {
-		return LinearFit{}, ErrInsufficientData
-	}
-	n := float64(len(xs))
-	var sx, sy, sxx, sxy float64
+	r := regressionOf(xs, ys)
+	return r.Fit()
+}
+
+func regressionOf(xs, ys []float64) Regression {
+	var r Regression
 	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
+		r.Add(xs[i], ys[i])
 	}
-	den := sxx - sx*sx/n
-	if den == 0 {
-		return LinearFit{}, errors.New("stats: constant regressor")
-	}
-	slope := (sxy - sx*sy/n) / den
-	intercept := (sy - slope*sx) / n
-	return LinearFit{Slope: slope, Intercept: intercept, R: Pearson(xs, ys)}, nil
+	return r
 }
 
 // MeanRelativeError returns the mean of |est-ref|/|ref| over the paired

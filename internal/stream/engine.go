@@ -77,8 +77,9 @@ func (c Config) workers() int {
 
 // sigRun is one maximal run of identical candidate-atom signatures: the
 // session's compact storage. Runs replace the raw logic vectors — per
-// instant the engine keeps only the power value and the input Hamming
-// distance (8 bytes each), plus one packed bitset per signature change.
+// instant the engine keeps only the power value (8 bytes) and the input
+// Hamming distance (a 4-byte bit count), plus one packed bitset per
+// signature change.
 type sigRun struct {
 	sig []uint64
 	n   int
@@ -88,7 +89,7 @@ type sigRun struct {
 type sessionData struct {
 	runs  []sigRun
 	power []float64
-	hd    []float64
+	hd    []uint32
 	rows  int
 }
 
@@ -151,21 +152,27 @@ var LatencyBuckets = obs.ExponentialBuckets(0.001, 4, 12)
 //     truth bitset (lossless for every downstream mining decision), its
 //     power value and its input Hamming distance; the raw valuation is
 //     discarded immediately — the memory the daemon holds per instant is
-//     16 bytes plus amortized run-length-encoded bitsets;
+//     12 bytes plus amortized run-length-encoded bitsets;
 //   - proposition ids are interned sequentially in trace order
 //     (mining.MineParallel's replay strategy), chains are built by the
 //     online XU segmenter (bit-identical to psm.Generate) and simplified
 //     with the batch psm.Simplify;
+//   - each chain's states carry exact calibration sums
+//     (psm.CarryCalibration), filled once per session from the stored
+//     power/HD series; merges pool them exactly, so the served states'
+//     sums equal the batch calibration's walk over their intervals;
 //   - the live model is a persistent incremental join (psm.Joiner): each
 //     completed chain is folded once through the batch join's greedy
 //     clustering pass — a left fold, so folding chains in completion
 //     order equals pooling them all and clustering from scratch — and
 //     each Snapshot cheaply clones the fold's kept states and runs only
-//     the order-dependent fixpoint on the clone, followed by the batch
-//     calibration over the stored power/HD series. Steady-state snapshot
-//     cost therefore scales with the number of kept states and the new
-//     evidence since the last snapshot, not with the total pooled
-//     states (pinned by BenchmarkSnapshotSteadyState).
+//     the order-dependent fixpoint on the clone, then calibrates the
+//     served states from their carried sums. Steady-state snapshot cost
+//     therefore scales with the number of kept states and the new
+//     evidence since the last snapshot — collapse, calibration and the
+//     cache update alike — not with the total pooled states or stored
+//     records (pinned by TestSteadyStateSnapshotCost and
+//     BenchmarkSnapshotSteadyState).
 //
 // The kept atom set depends on global statistics, so a completed session
 // can invalidate earlier decisions; the engine detects this by comparing
@@ -343,13 +350,11 @@ func (s *Session) Append(row []logic.Vector, power float64) error {
 	}
 	d.power = append(d.power, power)
 
-	hd := 0.0
+	var hd uint32
 	if s.prev != nil {
-		acc := 0
 		for _, c := range s.e.inputCols {
-			acc += row[c].HammingDistance(s.prev[c])
+			hd += uint32(row[c].HammingDistance(s.prev[c]))
 		}
-		hd = float64(acc)
 	}
 	d.hd = append(d.hd, hd)
 	if s.prev == nil {
@@ -416,13 +421,11 @@ func (s *Session) AppendBatch(rows [][]logic.Vector, powers []float64) error {
 		if k > 0 {
 			prevRow = rows[k-1]
 		}
-		hd := 0.0
+		var hd uint32
 		if prevRow != nil {
-			acc := 0
 			for _, c := range s.e.inputCols {
-				acc += row[c].HammingDistance(prevRow[c])
+				hd += uint32(row[c].HammingDistance(prevRow[c]))
 			}
-			hd = float64(acc)
 		}
 		d.hd = append(d.hd, hd)
 	}
@@ -538,15 +541,10 @@ func (e *Engine) Snapshot(ctx context.Context) (*psm.Model, error) {
 	pooled := e.joiner.Pooled()
 	snap := e.joiner.Snapshot(ctx)
 	if !e.cfg.SkipCalibration {
-		hds := make([][]float64, len(e.completed))
-		pws := make([][]float64, len(e.completed))
-		for i, d := range e.completed {
-			hds[i], pws[i] = d.hd, d.power
-		}
-		_, calSpan := obs.Start(ctx, "calibrate")
-		fits := psm.CalibrateSeries(snap, hds, pws, e.cfg.Calibration)
-		calSpan.SetAttr("fits", fits)
-		calSpan.End()
+		// Every state carries exact calibration sums (chainOfSession fills
+		// them once per session; the fold and the fixpoint pool them), so
+		// this fits the served states without reading a stored series.
+		psm.CalibrateCtx(ctx, snap, nil, nil, nil, e.cfg.Calibration)
 	}
 	// Served models must outlive future interning: freeze a private
 	// dictionary copy so EvalRow readers never race Snapshot's writes.
@@ -592,19 +590,21 @@ func (e *Engine) ensureEpoch(ctx context.Context, idx []int) (rebuilt bool, err 
 	}
 
 	// Sequential phase: intern new sessions' run signatures in trace
-	// order (the batch replay order).
+	// order (the batch replay order). Only the sessions completed since
+	// the cache was last brought up to date are touched, so a delta
+	// snapshot's work does not grow with the completed-session count.
 	first := len(e.chains)
-	propIDs := make([][]int, len(e.completed))
-	for i := first; i < len(e.completed); i++ {
-		propIDs[i] = propIDsOf(e.dict, e.keptIdx, e.completed[i])
+	fresh := e.completed[first:]
+	propIDs := make([][]int, len(fresh))
+	for k, d := range fresh {
+		propIDs[k] = propIDsOf(e.dict, e.keptIdx, d)
 	}
 
-	// Parallel phase: per-session segmentation + Simplify over the
-	// pipeline pool.
-	newChains := make([]*psm.Chain, len(e.completed)-first)
+	// Parallel phase: per-session segmentation, Simplify and calibration
+	// sums over the pipeline pool.
+	newChains := make([]*psm.Chain, len(fresh))
 	err = pipeline.ForEach(ctx, e.cfg.workers(), len(newChains), func(wctx context.Context, k int) error {
-		i := first + k
-		newChains[k] = chainOfSession(wctx, e.dict, propIDs[i], i, e.completed[i], e.cfg.Merge)
+		newChains[k] = chainOfSession(wctx, e.dict, propIDs[k], first+k, fresh[k], e.cfg.Merge)
 		return nil
 	})
 	if err != nil {

@@ -421,20 +421,30 @@ func ExampleEngine() {
 	// states: 2
 }
 
+// genSteadyCase is a one-trace case for the steady-state pins. Its power
+// is data dependent — a level per control state plus a slope on the
+// primary-input Hamming distance — so the served states are high-CV and
+// the snapshot's calibration fits them.
+func genSteadyCase(rng *rand.Rand) parityCase {
+	c := genParityCase(rng)
+	c.fts, c.pws = c.fts[:1], c.pws[:1]
+	hd := c.fts[0].InputHammingDistance(c.cols)
+	for t := range hd {
+		level := 1.0
+		if c.fts[0].Row(t)[0].Bit(0) == 1 {
+			level += 2.5
+		}
+		c.pws[0].Values[t] = level + 0.6*hd[t] + 0.01*rng.NormFloat64()
+	}
+	return c
+}
+
 // steadyEngine returns an engine with `total` copies of the case's
 // first trace completed and one settled snapshot (epoch fixed, every
-// chain folded). Calibration is skipped: the regression inherently
-// rescans all stored series, while this suite isolates the join path.
+// chain folded), calibrating like psmd does.
 func steadyEngine(t testing.TB, c parityCase, total int) *stream.Engine {
 	t.Helper()
-	mcfg, merge, _ := flowPolicies()
-	e := stream.NewEngine(stream.Config{
-		Workers:         2,
-		Mining:          mcfg,
-		Merge:           merge,
-		SkipCalibration: true,
-		Inputs:          c.inputs,
-	})
+	e := newTestEngine(c)
 	for k := 0; k < total; k++ {
 		streamTrace(t, e, c, 0)
 	}
@@ -467,10 +477,12 @@ func streamTrace(t testing.TB, e *stream.Engine, c parityCase, i int) {
 // depends on the kept-state count and the new chain — NOT on how many
 // chains were pooled before. A 5× larger history must not cost more
 // probes; the pre-incremental engine re-clustered the whole pool and
-// paid proportionally to it.
+// paid proportionally to it. Calibration is on and fits states, yet it
+// walks no stored sample (psm_calibrate_samples_total): the served
+// states carry their sums.
 func TestSteadyStateSnapshotCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	c := genParityCase(rng)
+	c := genSteadyCase(rng)
 
 	probes := func(total int) int64 {
 		e := steadyEngine(t, c, total)
@@ -484,7 +496,14 @@ func TestSteadyStateSnapshotCost(t *testing.T) {
 		if m.DeltaSnapshots < 1 {
 			t.Fatalf("pool=%d: measured snapshot did not take the delta path (%d rebuilds)", total, m.Rebuilds)
 		}
-		return reg.Snapshot().Counters["psm_merge_checks_total"]
+		counters := reg.Snapshot().Counters
+		if counters["psm_calibration_fits_total"] == 0 {
+			t.Fatalf("pool=%d: the snapshot fitted no state — the case no longer exercises calibration", total)
+		}
+		if n := counters["psm_calibrate_samples_total"]; n != 0 {
+			t.Fatalf("pool=%d: the delta snapshot's calibration walked %d stored samples, want 0", total, n)
+		}
+		return counters["psm_merge_checks_total"]
 	}
 
 	small := probes(6)
@@ -504,8 +523,8 @@ func TestSteadyStateSnapshotCost(t *testing.T) {
 // the pooled total.
 func BenchmarkSnapshotSteadyState(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
-	c := genParityCase(rng)
-	for _, total := range []int{8, 64} {
+	c := genSteadyCase(rng)
+	for _, total := range []int{8, 64, 512} {
 		b.Run(fmt.Sprintf("pooled=%d", total), func(b *testing.B) {
 			e := steadyEngine(b, c, total)
 			b.ResetTimer()

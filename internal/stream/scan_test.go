@@ -441,7 +441,7 @@ func TestAppendBatchMatchesSequential(t *testing.T) {
 			if math.Float64bits(a.power[i]) != math.Float64bits(b.power[i]) {
 				t.Fatalf("batch %d: power %d differs", batchSize, i)
 			}
-			if math.Float64bits(a.hd[i]) != math.Float64bits(b.hd[i]) {
+			if a.hd[i] != b.hd[i] {
 				t.Fatalf("batch %d: hd %d differs", batchSize, i)
 			}
 		}

@@ -116,11 +116,12 @@ func propIDsOf(dict *mining.Dictionary, keptIdx []int, s *sessionData) []int {
 }
 
 // chainOfSession builds the session's simplified chain from pre-interned
-// per-run proposition ids. It touches no shared state, so sessions fan
-// out over the pipeline pool. A nil return mirrors psm.Generate's "trace
-// too short" error. The context's obs sinks (spans, provenance,
-// counters) attach to the simplify pass — the chain is the same either
-// way.
+// per-run proposition ids, its states carrying their calibration sums
+// from the session's stored HD/power series. It touches no shared
+// state, so sessions fan out over the pipeline pool. A nil return
+// mirrors psm.Generate's "trace too short" error. The context's obs
+// sinks (spans, provenance, counters) attach to the simplify pass — the
+// chain is the same either way.
 func chainOfSession(ctx context.Context, dict *mining.Dictionary, propIDs []int, traceIdx int, s *sessionData, merge psm.MergePolicy) *psm.Chain {
 	var runs []Run
 	seg := NewSegmenter(func(r Run) { runs = append(runs, r) })
@@ -136,5 +137,7 @@ func chainOfSession(ctx context.Context, dict *mining.Dictionary, propIDs []int,
 	if c == nil {
 		return nil
 	}
-	return psm.SimplifyCtx(ctx, c, merge)
+	c = psm.SimplifyCtx(ctx, c, merge)
+	psm.CarryCalibration(c, s.hd, s.power)
+	return c
 }

@@ -41,25 +41,23 @@ func (e *Engine) MiningStats() (stats []mining.AtomStats, rows, traces int) {
 // everything shard-local: trace indices count this engine's completions
 // from zero and proposition ids are this engine's intern order. The
 // coordinator re-interns PropKeys into its canonical global dictionary
-// and remaps the chains; Chains and the HD/PW series share the engine's
-// immutable storage and must not be mutated.
+// and remaps the chains; Chains share the engine's immutable storage and
+// must not be mutated.
 type ShardExport struct {
 	// Traces is the completed-session count this export covers
-	// (== len(Chains) == len(HD) == len(PW)).
+	// (== len(Chains)).
 	Traces int
 	// PropKeys maps each shard-local proposition id to its kept-set
 	// truth signature — the dictionary re-intern source.
 	PropKeys []uint64
-	// Chains are the per-session simplified chains in completion order.
+	// Chains are the per-session simplified chains in completion order;
+	// their states carry the calibration sums.
 	Chains []*psm.Chain
-	// HD and PW are the per-session input-Hamming-distance and power
-	// series in completion order (the calibration evidence).
-	HD, PW [][]float64
 }
 
 // ExportChains brings the epoch cache up to date for the imposed kept
-// atom set and exports the shard's chains plus calibration series. An
-// engine with no completed sessions exports the zero ShardExport.
+// atom set and exports the shard's chains. An engine with no completed
+// sessions exports the zero ShardExport.
 //
 // Interleaving ExportChains with local Snapshot calls is safe but
 // counterproductive: whenever the imposed set differs from the locally
@@ -80,11 +78,6 @@ func (e *Engine) ExportChains(ctx context.Context, keptIdx []int) (ShardExport, 
 		Traces:   len(e.completed),
 		PropKeys: e.dict.Snapshot().PropKeys,
 		Chains:   append([]*psm.Chain(nil), e.chains...),
-		HD:       make([][]float64, len(e.completed)),
-		PW:       make([][]float64, len(e.completed)),
-	}
-	for i, d := range e.completed {
-		exp.HD[i], exp.PW[i] = d.hd, d.power
 	}
 	span.SetAttr("traces", exp.Traces)
 	return exp, nil

@@ -1,12 +1,15 @@
-// Command fuzzcorpus (re)generates the committed seed corpus of
-// FuzzWireScan under internal/stream/testdata/fuzz/FuzzWireScan, in the
-// native Go fuzzing corpus-file format. Run from the repo root:
+// Command fuzzcorpus (re)generates the committed seed corpora of
+// FuzzWireScan (internal/stream/testdata/fuzz/FuzzWireScan) and
+// FuzzRegressionMerge (internal/stats/testdata/fuzz/FuzzRegressionMerge),
+// in the native Go fuzzing corpus-file format. Run from the repo root:
 //
 //	go run ./scripts/fuzzcorpus
 //
-// The seeds mirror the f.Add set: canonical encoder output, every
-// fallback trigger and the framing edges, so `go test ./internal/stream`
-// replays them even without -fuzz.
+// The FuzzWireScan seeds mirror its f.Add set: canonical encoder output,
+// every fallback trigger and the framing edges. The FuzzRegressionMerge
+// seeds cover calibration-shaped pairs, the whole float64 exponent range,
+// exact cancellation, a constant regressor and every special value. `go
+// test` replays both corpora even without -fuzz.
 package main
 
 import (
@@ -38,7 +41,55 @@ func main() {
 		"unicode_value":   header + "\n" + `{"v":["ü","0"],"p":1}` + "\n",
 		"nan_like":        header + "\n" + `{"v":["ff","0"],"p":NaN}` + "\n",
 	}
-	dir := filepath.Join("internal", "stream", "testdata", "fuzz", "FuzzWireScan")
+	write(filepath.Join("internal", "stream", "testdata", "fuzz", "FuzzWireScan"), seeds)
+	write(filepath.Join("internal", "stats", "testdata", "fuzz", "FuzzRegressionMerge"), regressionSeeds())
+}
+
+// pair encodes one FuzzRegressionMerge sample: the kind byte, x as an
+// int8 plus a 1/256 fraction, and y as a sign bit with a 7-bit exponent
+// (16 binades a step, 64 = 2⁰) followed by 56 mantissa bits.
+func pair(kind byte, x int8, frac, yExp byte, mant uint64) []byte {
+	b := []byte{kind, byte(x), frac, yExp}
+	for i := 6; i >= 0; i-- {
+		b = append(b, byte(mant>>(8*uint(i))))
+	}
+	return b
+}
+
+func regressionSeeds() map[string]string {
+	input := func(group byte, pairs ...[]byte) string {
+		b := []byte{group}
+		for _, p := range pairs {
+			b = append(b, p...)
+		}
+		return string(b)
+	}
+	var power, wide, cancel, constant, specials [][]byte
+	for i := 0; i < 16; i++ {
+		m := uint64(0x9e3779b97f4a7c15) * uint64(i+1)
+		// Hamming distances against power at 2⁻¹⁶..2⁻¹⁵ (exponent byte 63).
+		power = append(power, pair(0, int8(i%9), 0, 63, m))
+		wide = append(wide, pair(1, int8(i*7-50), byte(i*31), byte(i*8), m))
+		cancel = append(cancel, pair(2, int8(i%4), 0, 64+byte(i%3), m), pair(2, int8(i%4), 0, 0x80|(64+byte(i%3)), m))
+		constant = append(constant, pair(3, 5, 0, 60+byte(i%5), m))
+	}
+	// Kind 7, 15, … 55 selects NaN, +Inf, -Inf, 1e300, -1e300, 0, -0.
+	for k := 0; k < 7; k++ {
+		specials = append(specials, pair(0, 1, 0, 64, 1), pair(byte(8*k+7), int8(k), 0, 64, 0))
+	}
+	return map[string]string{
+		"empty":    input(0),
+		"single":   input(1, pair(0, 3, 0, 64, 1)),
+		"power":    input(2, power...),
+		"wide":     input(3, wide...),
+		"cancel":   input(4, cancel...),
+		"constant": input(5, constant...),
+		"specials": input(6, specials...),
+	}
+}
+
+// write stores each seed as one corpus file, seed_<name>.
+func write(dir string, seeds map[string]string) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
