@@ -130,10 +130,7 @@ func build(ctx context.Context, funcs, powers, inputs, out, dot, jsonOut string,
 	if err != nil {
 		return err
 	}
-	model, err := pipeline.TreeJoin(ctx, chains, merge, jobs)
-	if err != nil {
-		return err
-	}
+	model := psm.JoinCtx(ctx, chains, merge)
 
 	var inputCols []int
 	for _, name := range split(inputs) {

@@ -73,9 +73,7 @@ func runProvenance(argv []string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := pipeline.TreeJoin(ctx, chains, merge, *jobs); err != nil {
-		return err
-	}
+	psm.JoinCtx(ctx, chains, merge)
 
 	w := io.Writer(os.Stdout)
 	if *out != "" {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"psmkit/internal/logic"
 	"psmkit/internal/stream"
 	"psmkit/internal/trace"
 )
@@ -26,8 +27,8 @@ func TestRunStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dec := stream.NewDecoder(&buf, 0)
-	h, err := dec.ReadHeader()
+	sc := stream.NewScanner(&buf, 0)
+	h, err := sc.ScanHeader()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,12 +53,16 @@ func TestRunStream(t *testing.T) {
 		}
 	}
 
-	var rec stream.Record
+	var (
+		rec   stream.RawRecord
+		arena logic.Arena
+	)
 	for i := 0; i < n; i++ {
-		if err := dec.Next(&rec); err != nil {
+		if err := sc.ScanRecord(&rec); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
-		row, err := stream.DecodeRow(sigs, &rec)
+		arena.Reset()
+		row, err := stream.DecodeRowArena(sigs, &rec, &arena, nil)
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
@@ -70,7 +75,7 @@ func TestRunStream(t *testing.T) {
 			t.Fatalf("record %d power %v, want %v", i, rec.P, pw.Values[i])
 		}
 	}
-	if err := dec.Next(&rec); err != io.EOF {
+	if err := sc.ScanRecord(&rec); err != io.EOF {
 		t.Fatalf("after %d records got %v, want io.EOF", n, err)
 	}
 }
@@ -82,13 +87,13 @@ func TestRunStreamThrottled(t *testing.T) {
 	if err := runStream(&buf, "RAM", 5, 1, false, 500); err != nil {
 		t.Fatal(err)
 	}
-	dec := stream.NewDecoder(&buf, 0)
-	if _, err := dec.ReadHeader(); err != nil {
+	sc := stream.NewScanner(&buf, 0)
+	if _, err := sc.ScanHeader(); err != nil {
 		t.Fatal(err)
 	}
-	var rec stream.Record
+	var rec stream.RawRecord
 	count := 0
-	for dec.Next(&rec) == nil {
+	for sc.ScanRecord(&rec) == nil {
 		count++
 	}
 	if count != 5 {

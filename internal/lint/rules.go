@@ -423,10 +423,10 @@ func (obsMetricsRule) Check(p *Package, env *Env) []Finding {
 // mergeFixpointRule flags restart-the-world merge fixpoints: an outer
 // loop that re-runs a quadratic pair scan over a model's .States slice
 // after every mutation, paying O(n²) merge evaluations per collapse
-// (~O(n³) total). The blessed join engine lives in internal/psm — a
-// version-stamped worklist plus verdict memo that produces the identical
-// model with O(n) re-probes per collapse — so state merging anywhere
-// else should go through psm.JoinPooled / psm.Joiner rather than
+// (~O(n³) total). The one join engine lives in internal/psm — psm.Joiner,
+// a version-stamped worklist plus verdict memo that produces the
+// identical model with O(n) re-probes per collapse — so state merging
+// anywhere else should go through psm.Join / psm.Joiner rather than
 // reimplementing the scan. internal/psm itself is exempt as the join
 // engine's home; its restart scan survives only as the oracle of its
 // differential tests and join scaling gate, in _test.go files, which
@@ -461,7 +461,7 @@ func (mergeFixpointRule) Check(p *Package, env *Env) []Finding {
 					Rule: "merge-fixpoint",
 					Pos:  p.Fset.Position(pos),
 					Msg: "restart-scan merge fixpoint over .States (O(n³) evaluations); " +
-						"use the worklist join engine (psm.JoinPooled / psm.Joiner) instead",
+						"use the worklist join engine (psm.Join / psm.Joiner) instead",
 				})
 				return false // one finding per fixpoint, not per nesting level
 			}

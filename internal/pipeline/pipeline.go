@@ -6,15 +6,13 @@
 //
 // Determinism is the design constraint. Every fan-out writes results into
 // index-addressed slots; the mined proposition ids are replayed
-// sequentially in trace order (mining.MineParallel); and the join
-// assembles the pooled model through a fixed-order pairwise tree of
-// psm.Concat steps — pure, associative concatenation — before running
-// the order-dependent collapse once at the root via psm.JoinPooled, the
-// exact code path the sequential psm.Join uses. The model produced with
-// any worker count is therefore bit-identical to the sequential flow
-// (internal/check verifies it, and the sorted DOT/JSON exporters make
-// the guarantee byte-testable; the property suite in property_test.go
-// exercises it on randomized trace sets).
+// sequentially in trace order (mining.MineParallel); and the join folds
+// the chains in trace order through psm.JoinCtx — the one join engine
+// (psm.Joiner) the sequential psm.Join and psmd run too. The model
+// produced with any worker count is therefore bit-identical to the
+// sequential flow (internal/check verifies it, and the sorted DOT/JSON
+// exporters make the guarantee byte-testable; the property suite in
+// property_test.go exercises it on randomized trace sets).
 package pipeline
 
 import (
@@ -70,10 +68,7 @@ func BuildModel(ctx context.Context, fts []*trace.Functional, pws []*trace.Power
 	if err != nil {
 		return nil, err
 	}
-	model, err := TreeJoin(ctx, chains, cfg.Merge, cfg.workers())
-	if err != nil {
-		return nil, err
-	}
+	model := psm.JoinCtx(ctx, chains, cfg.Merge)
 	if !cfg.SkipCalibration {
 		psm.CalibrateCtx(ctx, model, fts, pws, inputCols, cfg.Calibration)
 	}
@@ -84,7 +79,7 @@ func BuildModel(ctx context.Context, fts []*trace.Functional, pws []*trace.Power
 // mining, then one Generate+Simplify per trace on its own worker — and
 // returns the simplified chains in trace order. cmd/psmgen uses the
 // chains for its pre-join invariant checks before handing them to
-// TreeJoin.
+// psm.JoinCtx.
 func BuildChains(ctx context.Context, fts []*trace.Functional, pws []*trace.Power, cfg Config) ([]*psm.Chain, error) {
 	if len(fts) != len(pws) {
 		return nil, fmt.Errorf("pipeline: %d functional traces but %d power traces", len(fts), len(pws))
@@ -114,50 +109,10 @@ func BuildChains(ctx context.Context, fts []*trace.Functional, pws []*trace.Powe
 	return chains, nil
 }
 
-// TreeJoin implements psm.Join as a parallel reduction: each chain is
-// pooled on its own worker (the clone-and-rebase half of the join), the
-// partial pools are concatenated pairwise up a fixed left-to-right binary
-// tree, and the order-dependent collapse runs once at the root. Because
-// psm.Concat is associative in the chain order, every tree shape — and
-// therefore every worker count — produces the same pooled model, and the
-// root collapse is the same code the sequential psm.Join runs, with or
-// without a provenance log attached: the result is bit-identical to
-// psm.Join(chains, policy), and the join decisions are logged in the
-// same order for every worker count.
+// TreeJoin joins the chains; workers is ignored.
+//
+// Deprecated: use psm.JoinCtx, which this forwards to. The join is one
+// sequential fold through psm.Joiner.
 func TreeJoin(ctx context.Context, chains []*psm.Chain, policy psm.MergePolicy, workers int) (*psm.Model, error) {
-	if len(chains) == 0 {
-		return psm.Join(nil, policy), nil
-	}
-	ctx, span := obs.Start(ctx, "join", obs.KV("chains", len(chains)))
-	defer span.End()
-	_, poolSpan := obs.Start(ctx, "join.pool")
-	pools := make([]*psm.Model, len(chains))
-	err := ForEach(ctx, workers, len(chains), func(_ context.Context, i int) error {
-		pools[i] = psm.Pool(chains[i : i+1])
-		return nil
-	})
-	if err != nil {
-		poolSpan.End()
-		return nil, err
-	}
-	for len(pools) > 1 {
-		next := make([]*psm.Model, (len(pools)+1)/2)
-		prev := pools
-		err := ForEach(ctx, workers, len(next), func(_ context.Context, i int) error {
-			m := prev[2*i]
-			if 2*i+1 < len(prev) {
-				m = psm.Concat(m, prev[2*i+1])
-			}
-			next[i] = m
-			return nil
-		})
-		if err != nil {
-			poolSpan.End()
-			return nil, err
-		}
-		pools = next
-	}
-	poolSpan.SetAttr("states", len(pools[0].States))
-	poolSpan.End()
-	return psm.JoinPooledCtx(ctx, pools[0], policy), nil
+	return psm.JoinCtx(ctx, chains, policy), nil
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"psmkit/internal/experiment"
-	"psmkit/internal/mining"
 	"psmkit/internal/pipeline"
 	"psmkit/internal/psm"
 	"psmkit/internal/testbench"
@@ -77,60 +76,6 @@ func TestBuildModelMatchesSequentialOnIPs(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestTreeJoinMatchesJoin drives the tree join alone over chain counts
-// that exercise odd/even tree shapes, including the degenerate ones.
-func TestTreeJoinMatchesJoin(t *testing.T) {
-	ts := ipTraces(t, "RAM", 3500, 7)
-	pol := experiment.DefaultPolicies()
-
-	// Rebuild the simplified chains once, sequentially.
-	for n := 0; n <= 7; n++ {
-		chains := buildChains(t, ts, pol, n)
-		want := psm.Join(chains, pol.Merge)
-		for _, workers := range []int{1, 2, 4} {
-			got, err := pipeline.TreeJoin(context.Background(), chains, pol.Merge, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wd, wj := exportBytes(t, want)
-			gd, gj := exportBytes(t, got)
-			if n == 0 {
-				// An empty join has no dictionary; exports are not
-				// meaningful, compare structure only.
-				if got.NumStates() != want.NumStates() || got.NumTransitions() != want.NumTransitions() {
-					t.Errorf("n=0 workers=%d: empty join mismatch", workers)
-				}
-				continue
-			}
-			if !bytes.Equal(wd, gd) || !bytes.Equal(wj, gj) {
-				t.Errorf("n=%d workers=%d: tree join differs from psm.Join", n, workers)
-			}
-		}
-	}
-}
-
-// buildChains mines the first n traces of ts sequentially and returns
-// their simplified chains.
-func buildChains(t *testing.T, ts *experiment.TraceSet, pol experiment.Policies, n int) []*psm.Chain {
-	t.Helper()
-	if n == 0 {
-		return nil
-	}
-	dict, pts, err := mining.Mine(ts.FTs[:n], pol.Mining)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var chains []*psm.Chain
-	for i, pt := range pts {
-		c, err := psm.Generate(dict, pt, ts.PWs[i], i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chains = append(chains, psm.Simplify(c, pol.Merge))
-	}
-	return chains
 }
 
 // TestBuildModelErrorPropagation feeds a power trace that is too short

@@ -9,109 +9,6 @@ import (
 	"psmkit/internal/stats"
 )
 
-// randMergeModel builds a pooled model whose power summaries cluster
-// around a few levels, so the join's phases make many real merge
-// decisions across all three policy cases (n=1 next-states, pooled
-// until-states, mixed).
-func randMergeModel(rng *rand.Rand) *Model {
-	levels := []float64{1.0, 1.03, 1.3, 2.0, 2.08, 3.5}
-	n := 20 + rng.Intn(40)
-	m := &Model{Initials: map[int]int{}}
-	for i := 0; i < n; i++ {
-		mu := levels[rng.Intn(len(levels))]
-		var vals []float64
-		switch rng.Intn(3) {
-		case 0: // next-state: single sample
-			vals = []float64{mu + 0.01*rng.NormFloat64()}
-		case 1: // small until-state
-			for k := 0; k < 2+rng.Intn(4); k++ {
-				vals = append(vals, mu+0.02*rng.NormFloat64())
-			}
-		default: // heavy until-state
-			for k := 0; k < 30+rng.Intn(40); k++ {
-				vals = append(vals, mu+0.02*rng.NormFloat64())
-			}
-		}
-		m.States = append(m.States, &State{
-			ID: i,
-			Alts: []Alt{{
-				Seq:   Sequence{Phases: []Phase{{Prop: rng.Intn(6), Kind: PatternKind(rng.Intn(2))}}},
-				Count: 1 + rng.Intn(2),
-			}},
-			Power:     stats.MomentsOf(vals),
-			Intervals: []Interval{{Trace: rng.Intn(4), Start: i * 10, Stop: i*10 + len(vals) - 1}},
-		})
-		if i > 0 {
-			m.Transitions = append(m.Transitions, Transition{
-				From: rng.Intn(i), To: i, Enabling: rng.Intn(6), Count: 1 + rng.Intn(3),
-			})
-		}
-	}
-	for k := 0; k < 1+rng.Intn(3); k++ {
-		m.Initials[rng.Intn(n)]++
-	}
-	return m
-}
-
-// joinReference runs the pre-worklist engine — unmemoized restart-scan
-// fixpoint — as the differential oracle.
-func joinReference(m *Model, policy MergePolicy) *Model {
-	return joinPooledScan(context.Background(), m, policy)
-}
-
-// TestWorklistMatchesReference is the engine-equivalence property: for
-// seeded random mergeable-heavy pools, the worklist fixpoint must
-// produce a model deeply identical to the historical restart scan —
-// same states in the same order with bit-identical pooled moments, same
-// transitions, same initials.
-func TestWorklistMatchesReference(t *testing.T) {
-	for seed := int64(0); seed < 50; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		m := randMergeModel(rng)
-		ref := joinReference(CloneModel(m), DefaultMergePolicy())
-		got := JoinPooled(CloneModel(m), DefaultMergePolicy())
-		if !reflect.DeepEqual(ref, got) {
-			t.Fatalf("seed %d: worklist join diverges from the reference scan\nref:  %d states %d transitions\ngot:  %d states %d transitions",
-				seed, len(ref.States), len(ref.Transitions), len(got.States), len(got.Transitions))
-		}
-	}
-}
-
-// TestWorklistMatchesReferenceTightPolicies re-runs the differential
-// property under policies that exercise the CV guard and a hair-trigger
-// epsilon, where accept/reject flips are most order-sensitive.
-func TestWorklistMatchesReferenceTightPolicies(t *testing.T) {
-	policies := []MergePolicy{
-		{Epsilon: 0.2, Alpha: 0.05, EquivalenceMargin: 0.15, MaxCV: 0.1},
-		{Epsilon: 0.01, Alpha: 0.5, EquivalenceMargin: 0.005, MaxCV: 0},
-	}
-	for _, pol := range policies {
-		for seed := int64(100); seed < 120; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			m := randMergeModel(rng)
-			ref := joinReference(CloneModel(m), pol)
-			got := JoinPooled(CloneModel(m), pol)
-			if !reflect.DeepEqual(ref, got) {
-				t.Fatalf("seed %d policy %+v: worklist join diverges from the reference scan", seed, pol)
-			}
-		}
-	}
-}
-
-// TestJoinPooledIdempotent: joining an already-joined model must be the
-// identity — the fixpoint certified no pair merges, so a second pass
-// has nothing to do (and must not perturb order, counts or moments).
-func TestJoinPooledIdempotent(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		once := JoinPooled(randMergeModel(rng), DefaultMergePolicy())
-		twice := JoinPooled(CloneModel(once), DefaultMergePolicy())
-		if !reflect.DeepEqual(once, twice) {
-			t.Fatalf("seed %d: JoinPooled is not idempotent", seed)
-		}
-	}
-}
-
 // TestFindAliasDeepChain pins the union-find on a 5-deep alias cascade:
 // every node resolves to the root, and the walked chain is fully
 // compressed afterwards (each node points directly at the root).
@@ -213,9 +110,11 @@ func randChains(rng *rand.Rand) []*Chain {
 
 // TestJoinerMatchesJoin is the streaming-fold equivalence property: for
 // seeded random chain sets, folding chain by chain through a Joiner and
-// snapshotting after every prefix must deeply equal the batch Join over
-// that prefix — including intermediate snapshots, which is exactly what
-// psmd serves between session completions.
+// snapshotting after every prefix must deeply equal the pooled oracle
+// over that prefix — including intermediate snapshots, which is exactly
+// what psmd serves between session completions. JoinCtx must match the
+// oracle on the same sets under the default and the tight policies:
+// model, provenance log and merge counters.
 func TestJoinerMatchesJoin(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(0); seed < 40; seed++ {
@@ -225,11 +124,14 @@ func TestJoinerMatchesJoin(t *testing.T) {
 		for k, c := range chains {
 			j.Add(ctx, c)
 			got := j.Snapshot(ctx)
-			want := Join(chains[:k+1], DefaultMergePolicy())
+			want := joinOracle(ctx, chains[:k+1], DefaultMergePolicy())
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("seed %d prefix %d: joiner snapshot diverges from batch join (%d vs %d states)",
+				t.Fatalf("seed %d prefix %d: joiner snapshot diverges from the pooled oracle (%d vs %d states)",
 					seed, k+1, len(got.States), len(want.States))
 			}
+		}
+		for _, pol := range append([]MergePolicy{DefaultMergePolicy()}, tightPolicies...) {
+			CheckJoinMatchesOracle(t, chains, pol)
 		}
 	}
 }
@@ -252,9 +154,9 @@ func TestJoinerSnapshotDoesNotMutateFold(t *testing.T) {
 	}
 	j.Add(ctx, chains[len(chains)-1])
 	got := j.Snapshot(ctx)
-	want := Join(chains, DefaultMergePolicy())
+	want := joinOracle(ctx, chains, DefaultMergePolicy())
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("fold after an interleaved snapshot diverges from batch join")
+		t.Fatal("fold after an interleaved snapshot diverges from the pooled oracle")
 	}
 }
 
@@ -300,14 +202,46 @@ func TestJoinerResetReuseAcrossEpochs(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("reused joiner diverges from a fresh joiner after Reset")
 	}
-	if batch := Join(epoch2, DefaultMergePolicy()); !reflect.DeepEqual(batch, got) {
-		t.Fatal("post-reset re-fold diverges from batch join")
+	if pooled := joinOracle(ctx, epoch2, DefaultMergePolicy()); !reflect.DeepEqual(pooled, got) {
+		t.Fatal("post-reset re-fold diverges from the pooled oracle")
 	}
 	if j.Memo().Evals() != fresh.Memo().Evals() || j.Memo().Hits() != fresh.Memo().Hits() ||
 		j.Memo().Len() != fresh.Memo().Len() {
 		t.Fatalf("reused joiner's memo accounting differs from fresh: %d/%d/%d vs %d/%d/%d",
 			j.Memo().Evals(), j.Memo().Hits(), j.Memo().Len(),
 			fresh.Memo().Evals(), fresh.Memo().Hits(), fresh.Memo().Len())
+	}
+}
+
+// TestJoinerMemoShared: a joiner built on a caller-owned memo keeps the
+// verdicts already in it, so a second joiner folding the same chains
+// evaluates nothing new — the cross-shard snapshot's fresh-Joiner-per-
+// call pattern — and still produces the same model.
+func TestJoinerMemoShared(t *testing.T) {
+	ctx := context.Background()
+	chains := randChains(rand.New(rand.NewSource(11)))
+	memo := NewEvalMemo(DefaultMergePolicy())
+	fold := func() *Model {
+		j := NewJoinerMemo(memo)
+		for _, c := range chains {
+			j.Add(ctx, c)
+		}
+		return j.Snapshot(ctx)
+	}
+	first := fold()
+	evals, hits := memo.Evals(), memo.Hits()
+	if evals == 0 {
+		t.Fatal("the first fold evaluated nothing")
+	}
+	second := fold()
+	// Every verdict the first fold computed is a hit now; a memo reset
+	// would zero the accounting and recompute them instead.
+	if memo.Evals() != evals || memo.Hits() < hits+evals {
+		t.Fatalf("second fold: %d evals / %d hits, want %d evals and at least %d hits",
+			memo.Evals(), memo.Hits(), evals, hits+evals)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatal("a shared memo changed the model")
 	}
 }
 

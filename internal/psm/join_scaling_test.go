@@ -33,10 +33,10 @@ func joinFixpointScan(mg *merger, m *Model, alias map[int]int) {
 	}
 }
 
-// joinPooledScan is JoinPooledCtx with the unmemoized restart scan in
-// place of the worklist — the join exactly as shipped before the
-// worklist engine landed. A provenance log on ctx records every probe
-// of the scan, re-probes after each collapse included.
+// joinPooledScan is the pooled oracle (joinPooled) with the unmemoized
+// restart scan in place of the worklist — the join exactly as shipped
+// before the worklist engine landed. A provenance log on ctx records
+// every probe of the scan, re-probes after each collapse included.
 func joinPooledScan(ctx context.Context, m *Model, policy MergePolicy) *Model {
 	mg := newMerger(ctx, policy, phaseJoin, -1)
 	mg.memo = nil
@@ -48,14 +48,13 @@ func joinPooledScan(ctx context.Context, m *Model, policy MergePolicy) *Model {
 	return m
 }
 
-// adversarialModel builds a pooled (pre-collapse) model of `groups`
-// three-state groups, 3·groups states total, on which the restart scan
-// pays a fresh O(n²) evaluation sweep per collapse while the worklist
-// pays one seeding sweep plus O(n) re-probes per collapse. Group g's
-// power levels are scaled by 1.25^g, far outside every merge
-// tolerance, so groups never interact; within a group the states are
-// tuned to the default policy's thresholds so that the join's two
-// phases each fire exactly once:
+// adversarialChains builds `groups` three-state chains, 3·groups
+// states in all, on which the restart scan pays a fresh O(n²)
+// evaluation sweep per collapse while the worklist pays one seeding
+// sweep plus O(n) re-probes per collapse. Chain g's power levels are
+// scaled by 1.25^g, far outside every merge tolerance, so chains never
+// interact; within a chain the states are tuned to the default policy's
+// thresholds so that the join's two phases each fire exactly once:
 //
 //   - X (μ=1.0, n=2, σ=0) and Y (μ=1.0995, n=2, σ=0): relative
 //     difference 0.0905 — the degenerate-Welch ε check (0.05) rejects;
@@ -66,13 +65,15 @@ func joinPooledScan(ctx context.Context, m *Model, policy MergePolicy) *Model {
 //     equivalence margin — a merge that only becomes possible after the
 //     phase-1 pooling, which is exactly the fixpoint's reason to exist.
 //
-// Every group therefore forces one phase-2 collapse, and the collapsed
-// model has exactly `groups` states.
-func adversarialModel(groups int) *Model {
-	m := &Model{Initials: make(map[int]int, groups)}
+// Every chain therefore forces one phase-2 collapse, and the joined
+// model has exactly `groups` states. Proposition ids are pooled-global
+// (chain g's states carry 3g, 3g+1, 3g+2), so no two states share an
+// assertion.
+func adversarialChains(groups int) []*Chain {
+	chains := make([]*Chain, groups)
 	scale := 1.0
-	for g := 0; g < groups; g++ {
-		base := len(m.States)
+	for g := range chains {
+		c := &Chain{Trace: g}
 		for k, spec := range [...]struct {
 			mu float64
 			n  int
@@ -81,57 +82,58 @@ func adversarialModel(groups int) *Model {
 			for i := range vals {
 				vals[i] = spec.mu * scale
 			}
-			id := base + k
-			m.States = append(m.States, &State{
-				ID: id,
+			c.States = append(c.States, &State{
+				ID: k,
 				Alts: []Alt{{
-					Seq:   Sequence{Phases: []Phase{{Prop: id, Kind: Until}}},
+					Seq:   Sequence{Phases: []Phase{{Prop: 3*g + k, Kind: Until}}},
 					Count: 1,
 				}},
 				Power:     stats.MomentsOf(vals),
 				Intervals: []Interval{{Trace: g, Start: k * 10, Stop: k*10 + spec.n - 1}},
 			})
 		}
-		m.Transitions = append(m.Transitions,
-			Transition{From: base, To: base + 1, Enabling: base + 1, Count: 1},
-			Transition{From: base + 1, To: base + 2, Enabling: base + 2, Count: 1},
-		)
-		m.Initials[base]++
+		chains[g] = c
 		scale *= 1.25
 	}
-	return m
+	return chains
 }
 
-// joinArm runs one join engine over a fresh clone of the pooled model
-// with its own metrics registry, returning the wall time, the number of
+// scanArm is the restart-scan oracle as a join arm: Pool, then
+// joinPooledScan.
+func scanArm(ctx context.Context, chains []*Chain, policy MergePolicy) *Model {
+	return joinPooledScan(ctx, Pool(chains), policy)
+}
+
+// joinArm runs one join engine over the chains with its own metrics
+// registry, returning the wall time, the number of
 // MergePolicy.Evaluate calls actually executed (memo misses only — the
-// psm_merge_evals_total counter) and the collapsed model.
-func joinArm(m *Model, join func(context.Context, *Model, MergePolicy) *Model) (time.Duration, int64, *Model) {
+// psm_merge_evals_total counter) and the joined model.
+func joinArm(chains []*Chain, join func(context.Context, []*Chain, MergePolicy) *Model) (time.Duration, int64, *Model) {
 	reg := obs.NewRegistry()
 	ctx := obs.WithRegistry(context.Background(), reg)
 	start := time.Now()
-	out := join(ctx, CloneModel(m), DefaultMergePolicy())
+	out := join(ctx, chains, DefaultMergePolicy())
 	elapsed := time.Since(start)
 	return elapsed, reg.Snapshot().Counters["psm_merge_evals_total"], out
 }
 
-// BenchmarkJoinScaling compares the restart-scan join fixpoint against
-// the worklist engine on the adversarial 501-state pooled model (167
-// groups, one phase-2 collapse each). The restart scan pays a fresh
+// BenchmarkJoinScaling compares the restart-scan oracle against
+// production JoinCtx on the adversarial 501-state chain set (167
+// chains, one phase-2 collapse each). The restart scan pays a fresh
 // O(n²) evaluation sweep per collapse; the worklist pays one seeding
 // sweep plus O(n) re-probes. speedup_x is the scan's wall time divided
 // by the worklist per-op time; evals_ref and evals_worklist count real
 // MergePolicy.Evaluate executions per join. The models are
 // byte-identical (TestJoinScalingGate pins that).
 func BenchmarkJoinScaling(b *testing.B) {
-	pooled := adversarialModel(167)
-	refTime, refEvals, ref := joinArm(pooled, joinPooledScan)
+	chains := adversarialChains(167)
+	refTime, refEvals, ref := joinArm(chains, scanArm)
 
 	var wlEvals int64
 	var wl *Model
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, wlEvals, wl = joinArm(pooled, JoinPooledCtx)
+		_, wlEvals, wl = joinArm(chains, JoinCtx)
 	}
 	if len(wl.States) != len(ref.States) {
 		b.Fatalf("worklist collapsed to %d states, reference to %d", len(wl.States), len(ref.States))
@@ -143,10 +145,11 @@ func BenchmarkJoinScaling(b *testing.B) {
 }
 
 // TestJoinScalingGate is the `make bench-join` regression gate for the
-// worklist join engine, on the 1200-state adversarial model:
+// worklist join engine, on the 1200-state adversarial chain set, with
+// production JoinCtx as the worklist arm:
 //
-//   - the worklist engine must be ≥5× faster than the restart-scan
-//     oracle (min over interleaved rounds, like the obs gate);
+//   - JoinCtx must be ≥5× faster than the restart-scan oracle (min
+//     over interleaved rounds, like the obs gate);
 //   - it must execute strictly fewer MergePolicy.Evaluate calls;
 //   - both engines must collapse to exactly one state per group and
 //     produce deeply equal models (the stream parity suite additionally
@@ -159,20 +162,20 @@ func TestJoinScalingGate(t *testing.T) {
 		t.Skip("set BENCH_JOIN=1 (or run `make bench-join`) to run the join scaling gate")
 	}
 	const groups = 400 // 1200 pooled states: deep enough that the scan's cubic term dominates
-	pooled := adversarialModel(groups)
+	chains := adversarialChains(groups)
 
-	joinArm(pooled, joinPooledScan) // warm both arms before timing
-	joinArm(pooled, JoinPooledCtx)
+	joinArm(chains, scanArm) // warm both arms before timing
+	joinArm(chains, JoinCtx)
 	const rounds = 3
 	minRef, minWl := time.Duration(1<<62), time.Duration(1<<62)
 	var refEvals, wlEvals int64
 	var ref, wl *Model
 	for i := 0; i < rounds; i++ {
 		var d time.Duration
-		if d, refEvals, ref = joinArm(pooled, joinPooledScan); d < minRef {
+		if d, refEvals, ref = joinArm(chains, scanArm); d < minRef {
 			minRef = d
 		}
-		if d, wlEvals, wl = joinArm(pooled, JoinPooledCtx); d < minWl {
+		if d, wlEvals, wl = joinArm(chains, JoinCtx); d < minWl {
 			minWl = d
 		}
 	}
@@ -198,7 +201,7 @@ func TestJoinScalingGate(t *testing.T) {
 }
 
 // TestJoinProvenanceFollowsWorklist pins the join-phase provenance
-// contract on the adversarial model: the log records phase 1's checks,
+// contract on the adversarial chains: the log records phase 1's checks,
 // then the worklist's rejected probes when they are made and each
 // collapse when it is performed. With n states surviving phase 1 that
 // bounds the log by the phase-1 checks plus n(n−1)/2 + collapses·(n−1)
@@ -208,7 +211,8 @@ func TestJoinScalingGate(t *testing.T) {
 // model would not tell the two orders apart.
 func TestJoinProvenanceFollowsWorklist(t *testing.T) {
 	const groups = 12
-	pooled := adversarialModel(groups)
+	chains := adversarialChains(groups)
+	pooled := Pool(chains)
 	policy := DefaultMergePolicy()
 
 	// Phase 1 alone, counted: its probe count and its survivors.
@@ -219,12 +223,12 @@ func TestJoinProvenanceFollowsWorklist(t *testing.T) {
 	phase1Checks := reg.Snapshot().Counters["psm_merge_checks_total"]
 	n := int64(len(p1.States))
 
-	logOf := func(join func(context.Context, *Model, MergePolicy) *Model) ([]obs.MergeDecision, *Model) {
+	logOf := func(join func(context.Context, []*Chain, MergePolicy) *Model) ([]obs.MergeDecision, *Model) {
 		log := obs.NewProvenanceLog()
-		out := join(obs.WithProvenance(context.Background(), log), CloneModel(pooled), policy)
+		out := join(obs.WithProvenance(context.Background(), log), chains, policy)
 		return log.Decisions(), out
 	}
-	ds, served := logOf(JoinPooledCtx)
+	ds, served := logOf(JoinCtx)
 	collapses := n - int64(len(served.States))
 	bound := phase1Checks + n*(n-1)/2 + collapses*(n-1)
 	if int64(len(ds)) > bound {
@@ -248,7 +252,7 @@ func TestJoinProvenanceFollowsWorklist(t *testing.T) {
 		t.Fatalf("%d fixpoint collapses, want one per group (%d)", collapses, groups)
 	}
 
-	scanDs, scanned := logOf(joinPooledScan)
+	scanDs, scanned := logOf(scanArm)
 	if !reflect.DeepEqual(scanned, served) {
 		t.Fatal("restart scan and worklist served different models")
 	}

@@ -7,24 +7,31 @@ import (
 	"psmkit/internal/obs"
 )
 
-// Joiner maintains the join incrementally across streaming snapshots.
+// Joiner is the join engine: every production join — the batch flow
+// (Join, JoinCtx), psmd's incremental snapshots, the cross-shard
+// snapshot and both provenance replays — folds chains through one.
 //
-// The batch join has two phases (see joinPooledWith): a greedy
-// clustering pass over the pooled states and a fixpoint over the
-// survivors. The clustering pass is a left fold — each pooled state is
-// folded into the first already-kept state it merges with, and kept
-// states are never re-examined by it — so its result over chains
-// ⟨c₀ … cₖ⟩ extends to ⟨c₀ … cₖ₊₁⟩ by folding only cₖ₊₁'s states. A
-// Joiner persists exactly that fold: the kept states with their pooled
-// evidence, the phase-1-resolved aggregated transitions, and the
-// surviving initials. Add folds one new chain in O(|chain| · kept)
-// memoized checks; Snapshot clones the kept states cheaply and runs
-// only the order-dependent fixpoint on the clone. Neither operation
-// revisits previously pooled states, so the steady-state snapshot cost
-// is a function of the number of distinct power behaviours (kept
-// states), not of the total evidence pooled — while the produced model
-// stays byte-identical to Join over the full chain list (pinned by
-// TestJoinerMatchesJoin and the streaming parity suite).
+// The join has two phases: a greedy clustering pass over the pooled
+// states, folding each into the first already-kept state it merges
+// with, and a fixpoint over the survivors (collapseWorklist). The
+// clustering pass is a left fold — kept states are never re-examined by
+// it — so its result over chains ⟨c₀ … cₖ⟩ extends to ⟨c₀ … cₖ₊₁⟩ by
+// folding only cₖ₊₁'s states. A Joiner persists exactly that fold: the
+// kept states with their pooled evidence, the phase-1-resolved
+// aggregated transitions, and the surviving initials. Add folds one new
+// chain in O(|chain| · kept) memoized checks; Snapshot clones the kept
+// states cheaply and runs only the order-dependent fixpoint on the
+// clone. Neither operation revisits previously pooled states, so the
+// steady-state snapshot cost is a function of the number of distinct
+// power behaviours (kept states), not of the total evidence pooled.
+// The produced model, the provenance log and the merge counters equal
+// the pooled engine's — every chain pooled into one model, then phase 1
+// and the fixpoint over it — which the package tests keep as the
+// Joiner's oracle (TestJoinerMatchesJoin, FuzzJoinMatchesOracle).
+//
+// The context's provenance log, if any, records every decision of Add
+// and Snapshot in the order the fold makes them: phase 1 per chain,
+// then the fixpoint's rejections and collapses (see merger.decide).
 //
 // A Joiner is not goroutine-safe; the streaming engine owns one under
 // its lock.
@@ -43,18 +50,31 @@ type Joiner struct {
 	// trans aggregates the chains' transitions with phase-1 aliases
 	// resolved, in first-occurrence order; transIdx locates each key's
 	// slot. Snapshot applies the fixpoint's aliases on its copy, and the
-	// two-stage resolution composes to the batch join's single pass.
+	// two-stage resolution composes to the pooled join's single pass.
 	trans    []Transition
 	transIdx map[transKey]int
 	initials map[int]int
-	pooled   int // total states ever folded (the batch pre-join count)
+	pooled   int // total states ever folded (the pooled pre-join count)
 }
 
 // NewJoiner returns an empty incremental join for one merge policy.
 func NewJoiner(policy MergePolicy) *Joiner {
-	j := &Joiner{policy: policy, memo: NewEvalMemo(policy)}
-	j.Reset()
-	return j
+	return NewJoinerMemo(NewEvalMemo(policy))
+}
+
+// NewJoinerMemo returns an empty incremental join that reads and fills
+// a caller-owned verdict memo under the memo's merge policy, keeping
+// the verdicts it already holds. Verdicts are pure in the moments pair,
+// so a memo shared by successive joiners — the cross-shard snapshot
+// takes a fresh Joiner per call — changes only the evaluation count,
+// never the model. Reset clears the memo too.
+func NewJoinerMemo(memo *EvalMemo) *Joiner {
+	return &Joiner{
+		policy:   memo.Policy(),
+		memo:     memo,
+		transIdx: make(map[transKey]int),
+		initials: make(map[int]int),
+	}
 }
 
 // Reset discards the accumulated fold AND the verdict memo in one step
@@ -79,7 +99,7 @@ func (j *Joiner) Reset() {
 func (j *Joiner) Policy() MergePolicy { return j.policy }
 
 // Pooled returns the total number of states folded in so far — the
-// batch join's pre-collapse pooled state count.
+// join's pre-collapse pooled state count.
 func (j *Joiner) Pooled() int { return j.pooled }
 
 // SetMemoLimit bounds the verdict memo (see EvalMemo.SetLimit).
@@ -89,14 +109,12 @@ func (j *Joiner) SetMemoLimit(n int) { j.memo.SetLimit(n) }
 func (j *Joiner) Memo() *EvalMemo { return j.memo }
 
 // Add folds one simplified chain into the incremental join — the exact
-// decisions the batch phase 1 would make for this chain's states after
-// all previously added ones. The chain's states are deep-copied; the
-// input is not modified. Merge counters from the context tick here
-// (provenance is never recorded by a Joiner — the audit trail replays
-// the canonical batch build instead, see stream.Engine.Provenance).
+// decisions phase 1 makes for this chain's states after all previously
+// added ones. The chain's states are deep-copied; the input is not
+// modified. The context's merge counters tick and its provenance log
+// records here.
 func (j *Joiner) Add(ctx context.Context, c *Chain) {
 	mg := newMerger(ctx, j.policy, phaseJoin, -1)
-	mg.prov = nil
 	mg.memo = j.memo
 
 	if j.dict == nil {
@@ -105,7 +123,7 @@ func (j *Joiner) Add(ctx context.Context, c *Chain) {
 	base := j.pooled
 	// The chain's first state is an initial; recording it before the
 	// fold lets mergeStates transfer the count if the head merges away
-	// (exactly Pool-then-collapse's order).
+	// (exactly the pooled join's order).
 	j.initials[base]++
 
 	// Phase-1 fold with a chain-local alias map: only this chain's
@@ -130,10 +148,10 @@ func (j *Joiner) Add(ctx context.Context, c *Chain) {
 	}
 
 	// Aggregate the chain's transitions with its phase-1 aliases
-	// resolved. First-occurrence order over chains in completion order
-	// equals the batch dedup's first-occurrence order, and the fixpoint
-	// aliases applied at snapshot time compose with these (two-stage
-	// union-find resolution ≡ the batch's single resolve pass).
+	// resolved. First-occurrence order over chains in fold order equals
+	// the pooled dedup's first-occurrence order, and the fixpoint aliases
+	// applied at snapshot time compose with these (two-stage union-find
+	// resolution ≡ the pooled join's single resolve pass).
 	for _, t := range ChainTransitions(c) {
 		k := transKey{
 			from:     findAlias(alias, base+t.From),
@@ -175,23 +193,22 @@ func sharedClone(s *State) *State {
 	return ns
 }
 
-// Snapshot materializes the joined model over everything added so far:
-// byte-identical to Join over the same chains. The kept states are
-// cheaply cloned (sharedClone) and only the order-dependent fixpoint
-// runs on the clone — the joiner itself is not modified and keeps
-// accepting Add calls. The fixpoint starts from an empty alias map:
-// phase-1 aliases were already resolved into the aggregated
-// transitions, so only this snapshot's collapses need chasing.
+// Snapshot materializes the joined model over everything added so far,
+// under a "collapse" span. The kept states are cheaply cloned
+// (sharedClone) and only the order-dependent fixpoint runs on the clone
+// — the joiner itself is not modified and keeps accepting Add calls.
+// The fixpoint starts from an empty alias map: phase-1 aliases were
+// already resolved into the aggregated transitions, so only this
+// snapshot's collapses need chasing.
 func (j *Joiner) Snapshot(ctx context.Context) *Model {
 	_, span := obs.Start(ctx, "collapse", obs.KV("states_in", len(j.kept)))
 	mg := newMerger(ctx, j.policy, phaseJoin, -1)
-	mg.prov = nil
 	mg.memo = j.memo
 
 	m := &Model{
 		Dict:        j.dict,
 		States:      make([]*State, len(j.kept)),
-		Transitions: append([]Transition(nil), j.trans...),
+		Transitions: append(make([]Transition, 0, len(j.trans)), j.trans...),
 		Initials:    make(map[int]int, len(j.initials)),
 	}
 	for i, s := range j.kept {

@@ -19,8 +19,8 @@ const defaultMemoEntries = 1 << 20
 // ⟨n, Σx, Σx²⟩ pairs they were computed on. Evaluate is a pure function
 // of the two accumulators and the policy, so a memoized verdict is
 // exact — not approximate — and one memo can be shared across Simplify,
-// JoinPooled and successive streaming snapshots, as long as every user
-// runs the same policy (NewEvalMemo pins it; Joiner enforces it).
+// joins and successive streaming snapshots, as long as every user runs
+// the same policy (NewEvalMemo pins it; NewJoinerMemo adopts it).
 //
 // Simplify's restart passes and the worklist's re-probes both
 // re-examine state pairs whose moments have not changed since the last

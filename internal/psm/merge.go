@@ -1,6 +1,7 @@
 package psm
 
 import (
+	"context"
 	"math"
 	"sync"
 
@@ -255,144 +256,13 @@ func mergeAdjacent(a, b *State) *State {
 // carry several identical assertions with different successors; Alt
 // counts and Transition counts record the multiplicities the HMM needs.
 //
-// Join deep-copies every chain state on entry (Pool clones): the input
-// chains are never modified, so callers may reuse the same chains across
-// several merge policies. join_reuse_test.go pins this contract.
+// Join folds the chains, in order, through a fresh Joiner and
+// snapshots it (see JoinCtx): the batch flow and psmd run one join
+// engine. The chain states are deep-copied as they are folded, so the
+// input chains are never modified and callers may reuse the same chains
+// across several merge policies. join_reuse_test.go pins this contract.
 func Join(chains []*Chain, policy MergePolicy) *Model {
-	if len(chains) == 0 {
-		return &Model{Initials: map[int]int{}}
-	}
-	return JoinPooled(Pool(chains), policy)
-}
-
-// Pool flattens simplified chains into one unmerged model: every chain
-// state is deep-copied and renumbered with a model-global id (chain k's
-// states follow chain k-1's contiguously), the implicit chain transitions
-// are materialized, and each chain's first state is recorded as an
-// initial. Pooling is pure concatenation — associative in the chain
-// order — which is what lets the parallel tree join of internal/pipeline
-// assemble partial pools in any grouping and still reproduce the
-// sequential Join bit for bit.
-func Pool(chains []*Chain) *Model {
-	// The exact output sizes are known up front (every chain contributes
-	// len(States) states, len(States)-1 transitions and one initial), so
-	// the hot snapshot path allocates each backing array once.
-	nStates, nTrans := 0, 0
-	for _, c := range chains {
-		nStates += len(c.States)
-		if len(c.States) > 1 {
-			nTrans += len(c.States) - 1
-		}
-	}
-	m := &Model{
-		States:      make([]*State, 0, nStates),
-		Transitions: make([]Transition, 0, nTrans),
-		Initials:    make(map[int]int, len(chains)),
-	}
-	if len(chains) > 0 {
-		m.Dict = chains[0].Dict
-	}
-	for _, c := range chains {
-		base := len(m.States)
-		for _, s := range c.States {
-			ns := clonedState(s)
-			ns.ID = base + s.ID
-			m.States = append(m.States, ns)
-		}
-		for _, t := range ChainTransitions(c) {
-			m.Transitions = append(m.Transitions, Transition{
-				From: base + t.From, To: base + t.To, Enabling: t.Enabling, Count: t.Count,
-			})
-		}
-		m.Initials[base]++
-	}
-	return m
-}
-
-// Concat appends pool b to pool a, rebasing b's state ids, transition
-// endpoints and initials by a's state count. It takes ownership of both
-// inputs (a is extended in place, b's states are adopted without copying)
-// and returns a. Concatenating pooled sub-models left to right — in any
-// tree grouping — yields exactly Pool of the concatenated chain list.
-func Concat(a, b *Model) *Model {
-	if a.Dict == nil {
-		a.Dict = b.Dict
-	}
-	base := len(a.States)
-	if need := base + len(b.States); cap(a.States) < need {
-		grown := make([]*State, base, need)
-		copy(grown, a.States)
-		a.States = grown
-	}
-	for _, s := range b.States {
-		s.ID += base
-		a.States = append(a.States, s)
-	}
-	if need := len(a.Transitions) + len(b.Transitions); cap(a.Transitions) < need {
-		grown := make([]Transition, len(a.Transitions), need)
-		copy(grown, a.Transitions)
-		a.Transitions = grown
-	}
-	for _, t := range b.Transitions {
-		a.Transitions = append(a.Transitions, Transition{
-			From: base + t.From, To: base + t.To, Enabling: t.Enabling, Count: t.Count,
-		})
-	}
-	for id, n := range b.Initials {
-		a.Initials[base+id] += n
-	}
-	return a
-}
-
-// JoinPooled runs the order-dependent collapse phases of Join on a pooled
-// model (greedy clustering, fixpoint, transition rewiring, reindexing).
-// It mutates and returns m. Exported so the parallel tree join can pool
-// concurrently and still share this exact merge code path with the
-// sequential flow.
-func JoinPooled(m *Model, policy MergePolicy) *Model {
-	return joinPooledWith(plainMerger(policy, phaseJoin, -1), m)
-}
-
-// joinPooledWith routes JoinPooled through a merger (see simplifyWith):
-// the greedy phase-1 pass, then the worklist fixpoint, whether or not a
-// provenance log is attached — the log records the decisions in the
-// order this one engine makes them (see merger.decide).
-func joinPooledWith(mg merger, m *Model) *Model {
-	// Merged state ids are tracked in an alias table and the transitions
-	// are rewired once at the end — collapsing is then O(alts), not O(T).
-	alias := map[int]int{}
-	joinPhase1(&mg, m, alias)
-	collapseWorklist(&mg, m, alias)
-	resolveTransitions(m, alias)
-	reindex(m)
-	return m
-}
-
-// joinPhase1 is the greedy clustering pass: walk the pooled states in
-// order and fold each into the first already-kept state it is mergeable
-// with. This brings the state count down from O(trace length) to the
-// number of distinct power behaviours in one linear pass. The pass is a
-// left fold — each decision depends only on the states before it — which
-// is what lets Joiner maintain its result incrementally across
-// streaming snapshots.
-func joinPhase1(mg *merger, m *Model, alias map[int]int) {
-	kept := 0
-	for i := 0; i < len(m.States); {
-		merged := false
-		for j := 0; j < kept; j++ {
-			if mg.mergeable(m.States[j], m.States[i]) {
-				collapse(m, alias, j, i)
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			// Keep: move into the kept prefix (it already is — collapse
-			// removes merged entries, so position i becomes kept).
-			kept++
-			i = kept
-		}
-	}
+	return JoinCtx(context.Background(), chains, policy)
 }
 
 // pairItem is one candidate collapse in the worklist: the two states by
@@ -545,15 +415,6 @@ func collapseWorklist(mg *merger, m *Model, alias map[int]int) {
 		}
 	}
 	m.States = out
-}
-
-// collapse merges state index bi into state index ai: alternatives union
-// (counting duplicates), power pools, intervals concatenate. The merged
-// id is recorded in the alias table; transitions are rewired later in one
-// pass.
-func collapse(m *Model, alias map[int]int, ai, bi int) {
-	mergeStates(alias, m.Initials, m.States[ai], m.States[bi])
-	m.States = append(m.States[:bi], m.States[bi+1:]...)
 }
 
 // mergeStates folds state b into state a without touching the state

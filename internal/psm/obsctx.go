@@ -159,32 +159,22 @@ func SimplifyCtx(ctx context.Context, c *Chain, policy MergePolicy) *Chain {
 	return out
 }
 
-// JoinPooledCtx is JoinPooled under a "collapse" span, with the
-// context's provenance log and merge counters attached. The produced
-// model is identical to JoinPooled's for any context.
-func JoinPooledCtx(ctx context.Context, m *Model, policy MergePolicy) *Model {
-	_, span := obs.Start(ctx, "collapse", obs.KV("states_in", len(m.States)))
-	out := joinPooledWith(newMerger(ctx, policy, phaseJoin, -1), m)
-	span.SetAttr("states_out", len(out.States))
-	span.End()
-	return out
-}
-
-// JoinPooledMemoCtx is JoinPooledCtx with a caller-owned verdict memo:
-// repeated joins of a slowly-growing pool reuse verdicts across calls
-// exactly as a Joiner's fold does (verdicts are pure in the moments
-// pair). The merge policy is the memo's; the produced model is
-// identical to JoinPooled's under that policy for any memo state. The
-// cross-shard snapshot path keeps one memo across coordinator
-// snapshots this way.
-func JoinPooledMemoCtx(ctx context.Context, m *Model, memo *EvalMemo) *Model {
-	_, span := obs.Start(ctx, "collapse", obs.KV("states_in", len(m.States)))
-	mg := newMerger(ctx, memo.Policy(), phaseJoin, -1)
-	mg.memo = memo
-	out := joinPooledWith(mg, m)
-	span.SetAttr("states_out", len(out.States))
-	span.End()
-	return out
+// JoinCtx is Join under a "join" span, with the context's provenance
+// log and merge counters attached: it folds the chains, in order,
+// through a fresh Joiner and snapshots it, so the join's fixpoint runs
+// in a "collapse" span nested under "join". The produced model is
+// identical to Join's for any context.
+func JoinCtx(ctx context.Context, chains []*Chain, policy MergePolicy) *Model {
+	if len(chains) == 0 {
+		return &Model{Initials: map[int]int{}}
+	}
+	ctx, span := obs.Start(ctx, "join", obs.KV("chains", len(chains)))
+	defer span.End()
+	j := NewJoiner(policy)
+	for _, c := range chains {
+		j.Add(ctx, c)
+	}
+	return j.Snapshot(ctx)
 }
 
 // CalibrateCtx is Calibrate under a "calibrate" span; the number of

@@ -212,27 +212,6 @@ func (m *Model) OutgoingEnabled(id, prop int) []Transition {
 	return out
 }
 
-// CloneModel deep-copies a model: states (sharing nothing mutable),
-// transitions and initials. The dictionary is shared — it is immutable
-// once published. The streaming engine snapshots its live pooled model
-// through this before running the mutating JoinPooled collapse, so the
-// pool keeps accepting Concat folds while snapshots are served.
-func CloneModel(m *Model) *Model {
-	out := &Model{
-		Dict:        m.Dict,
-		States:      make([]*State, len(m.States)),
-		Transitions: append([]Transition(nil), m.Transitions...),
-		Initials:    make(map[int]int, len(m.Initials)),
-	}
-	for i, s := range m.States {
-		out.States[i] = clonedState(s)
-	}
-	for id, n := range m.Initials {
-		out.Initials[id] = n
-	}
-	return out
-}
-
 // clonedState deep-copies a state (sharing nothing mutable).
 func clonedState(s *State) *State {
 	ns := &State{

@@ -707,6 +707,21 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 	obs.WriteDecisions(w, ds)
 }
 
+// sameSignals reports the first difference between an upload's schema
+// and the model's, or nil when they are equal.
+func sameSignals(got, want []trace.Signal) error {
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if got[i] != want[i] {
+			return fmt.Errorf("stream: signal %d is %q width %d, the model's is %q width %d",
+				i, got[i].Name, got[i].Width, want[i].Name, want[i].Width)
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Errorf("stream: upload declares %d signals, the model has %d", len(got), len(want))
+	}
+	return nil
+}
+
 // estimateResult is the response of a co-simulation run.
 type estimateResult struct {
 	Instants  int       `json:"instants"`
@@ -723,7 +738,10 @@ type estimateResult struct {
 
 // handleEstimate co-simulates an uploaded functional stream against the
 // current model snapshot. Records may omit the power value; when all
-// carry one, the MRE against the upload is reported.
+// carry one, the MRE against the upload is reported. The upload's
+// schema must be the model's: the co-simulation evaluates the model's
+// atoms on each row by column, so any other schema is a 400 naming the
+// first mismatch.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -747,6 +765,10 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	sigs, err := h.Schema()
 	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if err := sameSignals(sigs, m.Dict.Signals); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -56,7 +56,9 @@ func genNDJSON(t *testing.T, seed int64, n int, withPower bool) *bytes.Buffer {
 				t.Fatal(err)
 			}
 		} else {
-			rec := stream.Record{V: []string{row[0].Hex(), row[1].Hex()}}
+			rec := struct {
+				V []string `json:"v"`
+			}{V: []string{row[0].Hex(), row[1].Hex()}}
 			b, _ := json.Marshal(rec)
 			buf2 := append(b, '\n')
 			if _, err := buf.Write(buf2); err != nil {

@@ -349,7 +349,7 @@ func TestCrossShardProvenanceMatchesSingleEngine(t *testing.T) {
 				t.Fatal(err)
 			}
 			for r := 0; r < c.fts[i].Len(); r++ {
-				if err := s.Append(c.fts[i].Row(r), c.pws[i].Values[r]); err != nil {
+				if err := s.AppendBatch([][]logic.Vector{c.fts[i].Row(r)}, c.pws[i].Values[r:r+1]); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -3,9 +3,9 @@
 // hash on the session id, each shard reduces its sessions on a
 // dedicated worker behind a bounded queue (backpressure instead of
 // unbounded buffering), and a cross-shard snapshot re-interns the shard
-// dictionaries into one canonical global dictionary and collapses the
-// shards' chains with the batch Concat/JoinPooled algebra — so the
-// served model is byte-identical to a single engine over the same
+// dictionaries into one canonical global dictionary and folds the
+// shards' chains through psm.Joiner, the batch flow's join engine — so
+// the served model is byte-identical to a single engine over the same
 // sessions in canonical order, for any shard count and any
 // interleaving (pinned by the cross-shard parity suite).
 package shard

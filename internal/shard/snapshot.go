@@ -87,12 +87,13 @@ func (c *Coordinator) miningCut(candidates []mining.Atom) globalCut {
 // sessions in canonical order — shard-major, each shard's sessions in
 // its completion order — for any shard count and any interleaving.
 //
-// The cut is taken under a fleet-wide hold (statistics, chains and
-// calibration series of one consistent per-shard prefix); the hold is
-// released before the expensive join, which runs on immutable exports.
-// The join reuses one cross-snapshot verdict memo, reset whenever the
-// globally-selected kept atom set moves (a global epoch boundary,
-// mirroring psm.Joiner.Reset).
+// The cut is taken under a fleet-wide hold (statistics and chains of
+// one consistent per-shard prefix); the hold is released before the
+// expensive join, which runs on immutable exports. Each snapshot folds
+// the remapped chains through a fresh psm.Joiner that shares one
+// cross-snapshot verdict memo, reset whenever the globally-selected
+// kept atom set moves (a global epoch boundary, mirroring
+// psm.Joiner.Reset).
 func (c *Coordinator) Snapshot(ctx context.Context) (*psm.Model, error) {
 	//psmlint:ignore nondet-source join-latency metric only; never reaches the model
 	start := time.Now()
@@ -189,9 +190,12 @@ func (c *Coordinator) Snapshot(ctx context.Context) (*psm.Model, error) {
 		base += exp.Traces
 	}
 
-	pool := psm.Pool(chains)
-	pooled := len(pool.States)
-	snap := psm.JoinPooledMemoCtx(ctx, pool, c.memo)
+	j := psm.NewJoinerMemo(c.memo)
+	for _, ch := range chains {
+		j.Add(ctx, ch)
+	}
+	pooled := j.Pooled()
+	snap := j.Snapshot(ctx)
 	if !c.cfg.Stream.SkipCalibration {
 		// The shard chains carry their calibration sums (remapChain keeps
 		// them), so the served states fit without any stored series.
@@ -217,7 +221,7 @@ func (c *Coordinator) Snapshot(ctx context.Context) (*psm.Model, error) {
 // current model, exactly as a single engine over the canonical session
 // order would (see Engine.Provenance): fresh global dictionary, chain
 // replays shard by shard in index order with canonical trace indices,
-// one sequential pooled collapse. The hold lasts through the replay —
+// one psm.JoinCtx over every chain. The hold lasts through the replay —
 // the kept set and the replayed sessions must be one cut.
 func (c *Coordinator) Provenance(ctx context.Context) ([]obs.MergeDecision, error) {
 	ctx, span := obs.Start(ctx, "provenance", obs.KV("shards", len(c.shards)))
@@ -265,7 +269,7 @@ func (c *Coordinator) Provenance(ctx context.Context) ([]obs.MergeDecision, erro
 		chains = append(chains, cs...)
 		base += len(cs)
 	}
-	psm.JoinPooledCtx(ctx, psm.Pool(chains), c.cfg.Stream.Merge)
+	psm.JoinCtx(ctx, chains, c.cfg.Stream.Merge)
 	span.SetAttr("decisions", log.Len())
 	return log.Decisions(), nil
 }
@@ -274,8 +278,8 @@ func (c *Coordinator) Provenance(ctx context.Context) ([]obs.MergeDecision, erro
 // coordinate system: proposition ids through the shard's re-intern
 // table (props[local id] = global id) and every trace reference to the
 // chain's canonical global index. Power attributes copy unchanged; the
-// calibration sums are shared, since psm.Pool copies every state before
-// the join merges into it. The remap is a bijective relabeling —
+// calibration sums are shared, since psm.Joiner.Add copies every state
+// before the join merges into it. The remap is a bijective relabeling —
 // distinct shard-local ids carry distinct signatures, so distinct
 // global ids — and every merge decision downstream reads propositions
 // only through sequence equality, so the relabeled chain joins exactly

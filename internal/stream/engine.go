@@ -154,25 +154,26 @@ var LatencyBuckets = obs.ExponentialBuckets(0.001, 4, 12)
 //     discarded immediately — the memory the daemon holds per instant is
 //     12 bytes plus amortized run-length-encoded bitsets;
 //   - proposition ids are interned sequentially in trace order
-//     (mining.MineParallel's replay strategy), chains are built by the
-//     online XU segmenter (bit-identical to psm.Generate) and simplified
-//     with the batch psm.Simplify;
+//     (mining.MineParallel's replay strategy); each session's signature
+//     runs expand into its proposition trace, from which the batch
+//     PSMGenerator (psm.Generate) builds the chain, simplified with the
+//     batch psm.Simplify;
 //   - each chain's states carry exact calibration sums
 //     (psm.CarryCalibration), filled once per session from the stored
 //     power/HD series; merges pool them exactly, so the served states'
 //     sums equal the batch calibration's walk over their intervals;
-//   - the live model is a persistent incremental join (psm.Joiner): each
-//     completed chain is folded once through the batch join's greedy
-//     clustering pass — a left fold, so folding chains in completion
-//     order equals pooling them all and clustering from scratch — and
-//     each Snapshot cheaply clones the fold's kept states and runs only
-//     the order-dependent fixpoint on the clone, then calibrates the
-//     served states from their carried sums. Steady-state snapshot cost
-//     therefore scales with the number of kept states and the new
-//     evidence since the last snapshot — collapse, calibration and the
-//     cache update alike — not with the total pooled states or stored
-//     records (pinned by TestSteadyStateSnapshotCost and
-//     BenchmarkSnapshotSteadyState).
+//   - the live model is a persistent incremental join (psm.Joiner, the
+//     batch flow's join engine too): each completed chain is folded once
+//     through the join's greedy clustering pass — a left fold, so
+//     folding chains in completion order equals folding them all from
+//     scratch — and each Snapshot cheaply clones the fold's kept states
+//     and runs only the order-dependent fixpoint on the clone, then
+//     calibrates the served states from their carried sums.
+//     Steady-state snapshot cost therefore scales with the number of
+//     kept states and the new evidence since the last snapshot —
+//     collapse, calibration and the cache update alike — not with the
+//     total pooled states or stored records (pinned by
+//     TestSteadyStateSnapshotCost and BenchmarkSnapshotSteadyState).
 //
 // The kept atom set depends on global statistics, so a completed session
 // can invalidate earlier decisions; the engine detects this by comparing
@@ -260,7 +261,7 @@ func (e *Engine) Registry() *obs.Registry { return e.reg }
 func (e *Engine) JoinLatencyWindow() obs.HistogramSnapshot { return e.hJoinWin.Snapshot() }
 
 // Session is one open trace being streamed in. It is single-producer:
-// Append/Close/Abort must not be called concurrently on the same session,
+// AppendBatch/Close/Abort must not be called concurrently on the same session,
 // but any number of sessions proceed in parallel without contending on
 // the engine (only Open and Close take the engine lock).
 type Session struct {
@@ -268,7 +269,6 @@ type Session struct {
 	obs    *mining.Observer
 	data   *sessionData
 	prev   []logic.Vector
-	buf    []uint64
 	batch  []uint64 // AppendBatch signature scratch, reused
 	schema []trace.Signal
 	done   bool
@@ -322,60 +322,16 @@ func (e *Engine) InputCols() []int {
 	return append([]int(nil), e.inputCols...)
 }
 
-// Append consumes one instant: the valuation row and its reference power.
-// The row is reduced to its candidate bitset, power and input-HD samples
-// and is not retained.
-func (s *Session) Append(row []logic.Vector, power float64) error {
-	if s.done {
-		return fmt.Errorf("stream: append to a closed session")
-	}
-	if max := s.e.cfg.MaxRecords; max > 0 && s.data.rows >= max {
-		return fmt.Errorf("stream: session exceeds the %d-record limit", max)
-	}
-	if len(row) != len(s.schema) {
-		return fmt.Errorf("stream: row has %d values, schema %d signals", len(row), len(s.schema))
-	}
-	for i, v := range row {
-		if v.Width() != s.schema[i].Width {
-			return fmt.Errorf("stream: signal %q width %d, value width %d", s.schema[i].Name, s.schema[i].Width, v.Width())
-		}
-	}
-
-	s.buf = s.obs.Observe(row, s.buf)
-	d := s.data
-	if n := len(d.runs); n > 0 && equalWords(d.runs[n-1].sig, s.buf) {
-		d.runs[n-1].n++
-	} else {
-		d.runs = append(d.runs, sigRun{sig: append([]uint64(nil), s.buf...), n: 1})
-	}
-	d.power = append(d.power, power)
-
-	var hd uint32
-	if s.prev != nil {
-		for _, c := range s.e.inputCols {
-			hd += uint32(row[c].HammingDistance(s.prev[c]))
-		}
-	}
-	d.hd = append(d.hd, hd)
-	if s.prev == nil {
-		s.prev = make([]logic.Vector, len(row))
-	}
-	copy(s.prev, row)
-
-	d.rows++
-	s.e.mRecords.Inc()
-	return nil
-}
-
-// AppendBatch consumes a batch of instants in one call, reducing their
-// atom signatures together (mining.Observer.ObserveBatch) and touching
-// the session's aggregates once instead of per record. The resulting
-// session state is byte-identical to appending the rows one by one —
-// pinned by TestAppendBatchMatchesSequential — but the batch is
+// AppendBatch consumes a batch of instants in one call: each row is
+// reduced to its candidate bitset, power and input-HD samples, with the
+// atom signatures computed together (mining.Observer.ObserveBatch) and
+// the session's aggregates touched once instead of per record. The
+// resulting session state is byte-identical to appending the rows one
+// by one — pinned by TestAppendBatchMatchesSequential — and the batch is
 // validated up front and appended atomically: on error nothing is
 // appended.
 //
-// Row vectors are not retained beyond the NEXT AppendBatch/Append call:
+// Row vectors are not retained beyond the NEXT AppendBatch call:
 // the last row of the batch stays referenced as the input-HD history
 // until the following call replaces it. Arena-backed callers therefore
 // double-buffer two arenas (see serve.handleTraces).
@@ -445,7 +401,11 @@ func (s *Session) Rows() int { return s.data.rows }
 // Close completes the session: its trace joins the training set at the
 // next index (completion order is trace order) and its statistics fold
 // into the global mining decision. An empty session is an error — the
-// batch miner rejects empty traces too — and is discarded.
+// batch miner rejects empty traces too — and is discarded. So is a
+// session whose records all carry one candidate-atom signature: under
+// any kept atom set its proposition trace is one run, which exposes no
+// temporal pattern, and the batch generator would fail the whole build
+// on it. Its records are rolled back like an aborted session's.
 func (s *Session) Close() (traceIdx int, err error) {
 	if s.done {
 		return 0, fmt.Errorf("stream: session closed twice")
@@ -458,6 +418,10 @@ func (s *Session) Close() (traceIdx int, err error) {
 	e.gOpen.Set(float64(e.openCount))
 	if s.data.rows == 0 {
 		return 0, fmt.Errorf("stream: session is empty")
+	}
+	if len(s.data.runs) == 1 {
+		e.mRecords.Add(-int64(s.data.rows))
+		return 0, fmt.Errorf("stream: all %d records carry one candidate-atom signature: proposition trace too short to expose a temporal pattern", s.data.rows)
 	}
 	mining.MergeStats(e.stats, s.obs.Stats())
 	e.totalRows += s.data.rows
@@ -527,9 +491,9 @@ func (e *Engine) Snapshot(ctx context.Context) (*psm.Model, error) {
 	}
 
 	// Incremental join fold: each chain not yet folded passes through the
-	// batch join's greedy clustering exactly once (the pass is a left
-	// fold over chains in completion order, so folding the delta equals
-	// pooling everything and clustering from scratch — see psm.Joiner).
+	// join's greedy clustering exactly once (the pass is a left fold over
+	// chains in completion order, so folding the delta equals folding
+	// everything from scratch — see psm.Joiner).
 	for e.built < len(e.chains) {
 		e.joiner.Add(ctx, e.chains[e.built])
 		e.built++
@@ -537,7 +501,7 @@ func (e *Engine) Snapshot(ctx context.Context) (*psm.Model, error) {
 
 	// Delta snapshot: clone the fold's kept states (cheap — shared
 	// immutable bulk) and run only the order-dependent fixpoint on the
-	// clone. Byte-identical to CloneModel+JoinPooled over the full pool.
+	// clone. Byte-identical to psm.Join over every chain.
 	pooled := e.joiner.Pooled()
 	snap := e.joiner.Snapshot(ctx)
 	if !e.cfg.SkipCalibration {
@@ -568,7 +532,7 @@ func (e *Engine) Snapshot(ctx context.Context) (*psm.Model, error) {
 // globally selected one through ExportChains. The incremental joiner
 // fold deliberately stays out of the cache maintenance: Snapshot folds
 // (it owns the joiner), ExportChains does not (the cross-shard join
-// pools the raw chains instead).
+// folds the remapped chains through its own Joiner instead).
 func (e *Engine) ensureEpoch(ctx context.Context, idx []int) (rebuilt bool, err error) {
 	rebuilt = !equalInts(idx, e.keptIdx)
 	if rebuilt {
@@ -600,8 +564,8 @@ func (e *Engine) ensureEpoch(ctx context.Context, idx []int) (rebuilt bool, err 
 		propIDs[k] = propIDsOf(e.dict, e.keptIdx, d)
 	}
 
-	// Parallel phase: per-session segmentation, Simplify and calibration
-	// sums over the pipeline pool.
+	// Parallel phase: per-session chain generation, Simplify and
+	// calibration sums over the pipeline pool.
 	newChains := make([]*psm.Chain, len(fresh))
 	err = pipeline.ForEach(ctx, e.cfg.workers(), len(newChains), func(wctx context.Context, k int) error {
 		newChains[k] = chainOfSession(wctx, e.dict, propIDs[k], first+k, fresh[k], e.cfg.Merge)
@@ -616,6 +580,9 @@ func (e *Engine) ensureEpoch(ctx context.Context, idx []int) (rebuilt bool, err 
 		if c == nil {
 			// Mirror the batch generator's hard error: a trace too short
 			// to expose a temporal pattern fails the whole build there.
+			// Close rejects a session that is too short under every kept
+			// set; one that is too short only under this kept set (its
+			// signatures project onto one proposition) still lands here.
 			return rebuilt, fmt.Errorf("stream: trace %d: proposition trace too short to expose a temporal pattern",
 				len(e.chains))
 		}
@@ -654,12 +621,13 @@ func (e *Engine) Metrics() Metrics {
 
 // Provenance re-derives every mergeability decision of the current
 // model — the audit trail behind GET /v1/provenance — by replaying the
-// full build (fresh dictionary, per-session simplify, pooled collapse)
-// with a recording merger attached. The replay runs under the engine
-// lock but never touches the epoch cache, so serving provenance cannot
-// perturb snapshot incrementality; and because it follows the exact
-// batch order (sessions in completion order, one sequential collapse),
-// the decisions equal `psmreport provenance` over the same traces.
+// full build (fresh dictionary, per-session simplify, one psm.JoinCtx
+// over every chain) with a recording merger attached. The replay runs
+// under the engine lock but never touches the epoch cache, so serving
+// provenance cannot perturb snapshot incrementality; and because it
+// follows the exact batch order (sessions in completion order, one
+// sequential join), the decisions equal `psmreport provenance` over
+// the same traces.
 func (e *Engine) Provenance(ctx context.Context) ([]obs.MergeDecision, error) {
 	ctx, span := obs.Start(ctx, "provenance")
 	defer span.End()
@@ -686,7 +654,7 @@ func (e *Engine) Provenance(ctx context.Context) ([]obs.MergeDecision, error) {
 	if err != nil {
 		return nil, err
 	}
-	psm.JoinPooledCtx(ctx, psm.Pool(chains), e.cfg.Merge)
+	psm.JoinCtx(ctx, chains, e.cfg.Merge)
 	span.SetAttr("decisions", log.Len())
 	return log.Decisions(), nil
 }

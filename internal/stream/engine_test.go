@@ -2,9 +2,12 @@ package stream
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"testing"
 
 	"psmkit/internal/logic"
+	"psmkit/internal/mining"
 	"psmkit/internal/trace"
 )
 
@@ -105,24 +108,55 @@ func TestEngineEmptySessionAndSnapshotErrors(t *testing.T) {
 	}
 }
 
-// TestEngineTooShortTrace mirrors the batch generator's hard error: a
-// trace whose proposition sequence never changes closes no run.
+// TestEngineTooShortTrace: a session whose records all carry one
+// candidate-atom signature exposes no temporal pattern under any kept
+// atom set, so Close rejects it like an empty session — nothing reaches
+// the mining statistics and its records are rolled back, as Abort rolls
+// them back — and a later good session still snapshots.
 func TestEngineTooShortTrace(t *testing.T) {
+	ctx := context.Background()
 	e := NewEngine(Config{SkipCalibration: true})
-	s, err := e.Open(testSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := s.Append(rowOf(1, 2), 1.0); err != nil {
+	upload := func(bits []uint64, op uint64) (int, error) {
+		t.Helper()
+		s, err := e.Open(testSchema())
+		if err != nil {
 			t.Fatal(err)
 		}
+		rows := make([][]logic.Vector, len(bits))
+		powers := make([]float64, len(bits))
+		for i, b := range bits {
+			rows[i], powers[i] = rowOf(b, op), float64(b)
+		}
+		if err := s.AppendBatch(rows, powers); err != nil {
+			t.Fatal(err)
+		}
+		return s.Close()
 	}
-	if _, err := s.Close(); err != nil {
-		t.Fatal(err)
+
+	if _, err := upload([]uint64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 2); err == nil {
+		t.Fatal("a session with one candidate-atom signature must fail Close")
 	}
-	if _, err := e.Snapshot(context.Background()); err == nil {
-		t.Fatal("constant trace must fail the snapshot like the batch flow")
+	st, rows, traces := e.MiningStats()
+	if rows != 0 || traces != 0 || !reflect.DeepEqual(st, make([]mining.AtomStats, len(st))) {
+		t.Fatalf("rejected session reached the mining statistics: %d rows, %d traces", rows, traces)
+	}
+	if m := e.Metrics(); m.RecordsIngested != 0 || m.OpenSessions != 0 || m.TracesCompleted != 0 {
+		t.Fatalf("after the rejection: %d records, %d open, %d traces; want 0/0/0",
+			m.RecordsIngested, m.OpenSessions, m.TracesCompleted)
+	}
+	if _, err := e.Snapshot(ctx); !errors.Is(err, ErrNoTraces) {
+		t.Fatalf("snapshot after only a rejected session: %v, want ErrNoTraces", err)
+	}
+
+	good := []uint64{0, 0, 1, 1, 0, 0, 1, 1}
+	if idx, err := upload(good, 0); err != nil || idx != 0 {
+		t.Fatalf("good session after the rejection: trace %d, %v; want trace 0", idx, err)
+	}
+	if _, err := e.Snapshot(ctx); err != nil {
+		t.Fatalf("snapshot after a good session: %v", err)
+	}
+	if m := e.Metrics(); m.RecordsIngested != int64(len(good)) {
+		t.Fatalf("records %d, want the good session's %d", m.RecordsIngested, len(good))
 	}
 }
 

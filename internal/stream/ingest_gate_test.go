@@ -1,4 +1,4 @@
-package psmkit
+package stream_test
 
 import (
 	"bytes"

@@ -5,9 +5,10 @@
 // and ASCII values — with a strict fast path. Any deviation from that
 // shape (escapes, non-ASCII, unknown or duplicate fields, whitespace
 // oddities, number forms strconv rejects) drops the line to
-// encoding/json, so every accepted stream decodes exactly as the
-// Decoder would and every rejected one fails with the Decoder's error.
-// FuzzWireScan pins that equivalence.
+// encoding/json, so every accepted stream decodes exactly as a plain
+// bufio.Scanner + encoding/json decoder would and every rejected one
+// fails with that decoder's error. FuzzWireScan pins that equivalence
+// against such a decoder, kept in the package tests.
 
 package stream
 
@@ -24,7 +25,7 @@ import (
 )
 
 // Scanner reads one NDJSON trace stream without copying lines out of its
-// read buffer. It mirrors the Decoder's framing exactly: empty lines are
+// read buffer. It mirrors bufio.Scanner's framing exactly: empty lines are
 // skipped, a trailing '\r' is dropped, a line of maxLineBytes or more
 // without a newline fails with bufio.ErrTooLong, and a final unterminated
 // line is still delivered.
@@ -38,11 +39,10 @@ type Scanner struct {
 	err        error // sticky read error (not EOF)
 	empties    int   // consecutive 0-byte nil-error reads
 
-	slow Record // fallback decode target, reused
+	slow record // fallback decode target, reused
 }
 
-// NewScanner wraps a reader. maxLineBytes ≤ 0 selects 1 MiB, like
-// NewDecoder.
+// NewScanner wraps a reader. maxLineBytes ≤ 0 selects 1 MiB.
 func NewScanner(r io.Reader, maxLineBytes int) *Scanner {
 	if maxLineBytes <= 0 {
 		maxLineBytes = 1 << 20
@@ -149,9 +149,8 @@ func dropCR(line []byte) []byte {
 // the same line numbers ScanRecord's own accounting would.
 func (s *Scanner) Lines() int { return s.lines }
 
-// ScanHeader parses the stream's header line (cf. Decoder.ReadHeader —
-// headers are one line per stream, so they take the encoding/json path
-// unconditionally).
+// ScanHeader parses the stream's header line through encoding/json —
+// headers are one line per stream, so they take no fast path.
 func (s *Scanner) ScanHeader() (*Header, error) {
 	line, err := s.Line()
 	if err != nil {
@@ -181,7 +180,7 @@ type RawRecord struct {
 
 // ScanRecord scans and parses the next record, returning io.EOF at end
 // of stream. Behavior (accepted records, error text, line accounting) is
-// exactly Decoder.Next's.
+// exactly an encoding/json decode's of each line.
 func (s *Scanner) ScanRecord(rec *RawRecord) error {
 	line, err := s.Line()
 	if err != nil {
@@ -190,21 +189,33 @@ func (s *Scanner) ScanRecord(rec *RawRecord) error {
 	if parseRecordFast(line, rec) {
 		return nil
 	}
-	// Slow path: anything structurally off the canonical shape decodes
-	// through encoding/json for bit-for-bit Decoder equivalence.
-	s.slow.V = s.slow.V[:0]
-	s.slow.P = nil
-	if err := json.Unmarshal(line, &s.slow); err != nil {
-		return fmt.Errorf("stream: line %d: bad record: %v", s.lines, err)
+	return s.slow.parse(line, s.lines, rec)
+}
+
+// record is a record line as encoding/json sees it — the slow
+// path's decode target for anything structurally off the canonical
+// shape.
+type record struct {
+	V []string `json:"v"`
+	P *float64 `json:"p,omitempty"`
+}
+
+// parse decodes line through encoding/json into rec; lineno feeds the
+// error text. r is reused scratch.
+func (r *record) parse(line []byte, lineno int, rec *RawRecord) error {
+	r.V = r.V[:0]
+	r.P = nil
+	if err := json.Unmarshal(line, r); err != nil {
+		return fmt.Errorf("stream: line %d: bad record: %v", lineno, err)
 	}
 	rec.V = rec.V[:0]
 	rec.vbuf = rec.vbuf[:0]
-	for _, v := range s.slow.V {
+	for _, v := range r.V {
 		rec.vbuf = append(rec.vbuf, []byte(v))
 	}
 	rec.V = append(rec.V, rec.vbuf...)
-	if s.slow.P != nil {
-		rec.p = *s.slow.P
+	if r.P != nil {
+		rec.p = *r.P
 		rec.P = &rec.p
 	} else {
 		rec.P = nil
@@ -221,7 +232,7 @@ func (s *Scanner) ScanRecord(rec *RawRecord) error {
 // 1-based position in its upload, feeding the error text the way the
 // Scanner's line accounting does.
 type LineParser struct {
-	slow Record // fallback decode target, reused
+	slow record // fallback decode target, reused
 }
 
 // Parse parses one record line into rec (see Scanner.ScanRecord for the
@@ -231,24 +242,7 @@ func (p *LineParser) Parse(line []byte, lineno int, rec *RawRecord) error {
 	if parseRecordFast(line, rec) {
 		return nil
 	}
-	p.slow.V = p.slow.V[:0]
-	p.slow.P = nil
-	if err := json.Unmarshal(line, &p.slow); err != nil {
-		return fmt.Errorf("stream: line %d: bad record: %v", lineno, err)
-	}
-	rec.V = rec.V[:0]
-	rec.vbuf = rec.vbuf[:0]
-	for _, v := range p.slow.V {
-		rec.vbuf = append(rec.vbuf, []byte(v))
-	}
-	rec.V = append(rec.V, rec.vbuf...)
-	if p.slow.P != nil {
-		rec.p = *p.slow.P
-		rec.P = &rec.p
-	} else {
-		rec.P = nil
-	}
-	return nil
+	return p.slow.parse(line, lineno, rec)
 }
 
 // parseRecordFast recognizes the canonical record serialization. It
@@ -433,7 +427,9 @@ func (p *parser) digits() bool {
 
 // DecodeRowArena parses a raw record's valuation against a schema into
 // arena-backed vectors, appending them to row (pass row[:0] to reuse a
-// buffer). Validation and error text match DecodeRow.
+// buffer). It validates the value count against the schema and parses
+// each value as a hex literal of its signal's width (logic.ParseHex
+// diagnostics).
 func DecodeRowArena(sigs []trace.Signal, rec *RawRecord, a *logic.Arena, row []logic.Vector) ([]logic.Vector, error) {
 	if len(rec.V) != len(sigs) {
 		return nil, fmt.Errorf("stream: record has %d values, schema %d signals", len(rec.V), len(sigs))

@@ -5,16 +5,21 @@
 // maintains a live model that is byte-identical to what the batch flow
 // would produce over the same completed traces.
 //
-// Three layers:
+// Five files:
 //
-//	wire.go    — the NDJSON record format sessions are streamed in
-//	             (shared with cmd/tracegen -stream and cmd/psmd);
-//	segment.go — the online XU segmenter: the push-based mirror of the
-//	             PSMGenerator's two-element-FIFO automaton (Fig. 5),
-//	             emitting `p U q` / `p X q` power states as runs close,
-//	             with streaming ⟨μ, σ, n⟩ accumulation;
-//	engine.go  — the incremental miner + chain builder + join fold that
-//	             turns completed sessions into the live model.
+//	wire.go         — the NDJSON record format sessions are streamed in
+//	                  (shared with cmd/tracegen -stream and cmd/psmd)
+//	                  and its Encoder;
+//	scan.go         — the zero-copy Scanner and LineParser that decode it;
+//	chain.go        — a completed session's chain: its signature runs
+//	                  expand into the proposition trace the batch
+//	                  PSMGenerator (psm.Generate) turns into `p U q` /
+//	                  `p X q` power states;
+//	engine.go       — the incremental miner + chain builder + join fold
+//	                  (psm.Joiner) that turns completed sessions into the
+//	                  live model;
+//	shard_export.go — the accessors a shard.Coordinator runs engines
+//	                  through.
 package stream
 
 import (
@@ -71,96 +76,6 @@ func HeaderFor(sigs []trace.Signal, inputCols []int) Header {
 	return h
 }
 
-// Record is one simulation instant: the hex-encoded valuation of every
-// schema signal (trace CSV encoding, logic.ParseHex) and the reference
-// dynamic power. P is required when training (POST /v1/traces) and
-// optional when estimating (POST /v1/estimate — present values enable the
-// MRE figure).
-type Record struct {
-	V []string `json:"v"`
-	P *float64 `json:"p,omitempty"`
-}
-
-// DecodeRow parses a record's valuation against a schema.
-func DecodeRow(sigs []trace.Signal, rec *Record) ([]logic.Vector, error) {
-	if len(rec.V) != len(sigs) {
-		return nil, fmt.Errorf("stream: record has %d values, schema %d signals", len(rec.V), len(sigs))
-	}
-	row := make([]logic.Vector, len(sigs))
-	for i, s := range rec.V {
-		v, err := logic.ParseHex(sigs[i].Width, s)
-		if err != nil {
-			return nil, fmt.Errorf("stream: signal %s: %v", sigs[i].Name, err)
-		}
-		row[i] = v
-	}
-	return row, nil
-}
-
-// Decoder reads one NDJSON trace stream: a Header line followed by Record
-// lines. Lines longer than maxLineBytes fail the decode (memory bound on
-// untrusted uploads).
-type Decoder struct {
-	sc    *bufio.Scanner
-	lines int
-}
-
-// NewDecoder wraps a reader. maxLineBytes ≤ 0 selects 1 MiB.
-func NewDecoder(r io.Reader, maxLineBytes int) *Decoder {
-	if maxLineBytes <= 0 {
-		maxLineBytes = 1 << 20
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, min(maxLineBytes, 64<<10)), maxLineBytes)
-	return &Decoder{sc: sc}
-}
-
-// next returns the next non-empty line.
-func (d *Decoder) next() ([]byte, error) {
-	for d.sc.Scan() {
-		d.lines++
-		line := d.sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		return line, nil
-	}
-	if err := d.sc.Err(); err != nil {
-		return nil, fmt.Errorf("stream: line %d: %w", d.lines+1, err)
-	}
-	return nil, io.EOF
-}
-
-// ReadHeader parses the stream's header line.
-func (d *Decoder) ReadHeader() (*Header, error) {
-	line, err := d.next()
-	if err != nil {
-		if err == io.EOF {
-			return nil, fmt.Errorf("stream: empty stream (no header)")
-		}
-		return nil, err
-	}
-	var h Header
-	if err := json.Unmarshal(line, &h); err != nil {
-		return nil, fmt.Errorf("stream: line %d: bad header: %v", d.lines, err)
-	}
-	return &h, nil
-}
-
-// Next parses the next record, returning io.EOF at end of stream.
-func (d *Decoder) Next(rec *Record) error {
-	line, err := d.next()
-	if err != nil {
-		return err
-	}
-	rec.V = rec.V[:0]
-	rec.P = nil
-	if err := json.Unmarshal(line, rec); err != nil {
-		return fmt.Errorf("stream: line %d: bad record: %v", d.lines, err)
-	}
-	return nil
-}
-
 // Encoder writes the NDJSON stream (cmd/tracegen -stream, tests).
 type Encoder struct {
 	w   *bufio.Writer
@@ -184,10 +99,15 @@ func (e *Encoder) writeJSON(v interface{}) error {
 // WriteHeader emits the header line.
 func (e *Encoder) WriteHeader(h Header) error { return e.writeJSON(h) }
 
-// WriteRow emits one record from a valuation row and its power. The
-// line is assembled in a reused buffer, byte-identical to marshalling a
-// Record (hex needs no escaping; appendJSONFloat is the encoding/json
-// float form) — pinned by TestWriteRowMatchesMarshal.
+// WriteRow emits one record from a valuation row and its power: the
+// line {"v":["<hex>",...],"p":<number>}, one hex-encoded value per
+// schema signal (trace CSV encoding, logic.ParseHex) and the reference
+// dynamic power. The power is required when training (POST /v1/traces)
+// and optional when estimating (POST /v1/estimate — present values
+// enable the MRE figure). The line is assembled in a reused buffer,
+// byte-identical to marshalling the record with encoding/json (hex
+// needs no escaping; appendJSONFloat is the encoding/json float form)
+// — pinned by TestWriteRowMatchesMarshal.
 func (e *Encoder) WriteRow(row []logic.Vector, power float64) error {
 	b := append(e.buf[:0], `{"v":[`...)
 	for i, v := range row {

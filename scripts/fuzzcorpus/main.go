@@ -1,15 +1,20 @@
 // Command fuzzcorpus (re)generates the committed seed corpora of
-// FuzzWireScan (internal/stream/testdata/fuzz/FuzzWireScan) and
-// FuzzRegressionMerge (internal/stats/testdata/fuzz/FuzzRegressionMerge),
-// in the native Go fuzzing corpus-file format. Run from the repo root:
+// FuzzWireScan (internal/stream/testdata/fuzz/FuzzWireScan),
+// FuzzRegressionMerge (internal/stats/testdata/fuzz/FuzzRegressionMerge)
+// and FuzzJoinMatchesOracle
+// (internal/psm/testdata/fuzz/FuzzJoinMatchesOracle), in the native Go
+// fuzzing corpus-file format. Run from the repo root:
 //
 //	go run ./scripts/fuzzcorpus
 //
 // The FuzzWireScan seeds mirror its f.Add set: canonical encoder output,
 // every fallback trigger and the framing edges. The FuzzRegressionMerge
 // seeds cover calibration-shaped pairs, the whole float64 exponent range,
-// exact cancellation, a constant regressor and every special value. `go
-// test` replays both corpora even without -fuzz.
+// exact cancellation, a constant regressor and every special value. The
+// FuzzJoinMatchesOracle seeds cover each merge policy, one to six
+// chains, and every sample shape (next-states, small and heavy noisy
+// runs, constant pairs). `go test` replays every corpus even without
+// -fuzz.
 package main
 
 import (
@@ -43,6 +48,51 @@ func main() {
 	}
 	write(filepath.Join("internal", "stream", "testdata", "fuzz", "FuzzWireScan"), seeds)
 	write(filepath.Join("internal", "stats", "testdata", "fuzz", "FuzzRegressionMerge"), regressionSeeds())
+	write(filepath.Join("internal", "psm", "testdata", "fuzz", "FuzzJoinMatchesOracle"), joinSeeds())
+}
+
+// joinSeeds encodes FuzzJoinMatchesOracle inputs: a policy byte, then
+// one (a, b, c) triple per state — a picks the power level (a%6) and the
+// pattern kind, and a ≥ 240 starts a new chain; b picks the sample shape
+// (b%4: one sample, a small or a heavy noisy run, a constant pair); c
+// picks the noise and the proposition.
+func joinSeeds() map[string]string {
+	// states draws n deterministic states whose shape is fixed by shape
+	// (-1 = mixed) and which break into a new chain every `every` states.
+	states := func(policy byte, n, every, shape int, seed uint32) string {
+		b := []byte{policy}
+		x := seed | 1
+		next := func() byte {
+			x ^= x << 13
+			x ^= x >> 17
+			x ^= x << 5
+			return byte(x)
+		}
+		for i := 0; i < n; i++ {
+			a := next() % 240
+			if every > 0 && i > 0 && i%every == 0 {
+				a = 240 + a%6
+			}
+			sh := next()
+			if shape >= 0 {
+				sh = sh&^3 | byte(shape)
+			}
+			b = append(b, a, sh, next())
+		}
+		return string(b)
+	}
+	return map[string]string{
+		"one_chain":      states(0, 12, 0, -1, 1),
+		"two_chains":     states(0, 16, 8, -1, 2),
+		"six_chains":     states(0, 30, 5, -1, 3),
+		"next_states":    states(0, 20, 7, 0, 4),
+		"small_runs":     states(0, 20, 10, 1, 5),
+		"heavy_runs":     states(0, 20, 10, 2, 6),
+		"constant_pairs": states(0, 20, 10, 3, 7),
+		"tight_cv":       states(1, 24, 6, -1, 8),
+		"tight_epsilon":  states(2, 24, 6, -1, 9),
+		"max_states":     states(0, 70, 12, -1, 10),
+	}
 }
 
 // pair encodes one FuzzRegressionMerge sample: the kind byte, x as an

@@ -26,6 +26,71 @@ import (
 // EXPERIMENTS.md, "Shard scaling").
 const shardGateMinProcs = 6
 
+// ingestSchema is the benchmark stream's signal set: widths spanning a
+// control bit through a multi-word bus, with the first two signals as
+// the engine's primary inputs.
+func ingestSchema() []trace.Signal {
+	return []trace.Signal{
+		{Name: "en", Width: 1},
+		{Name: "mode", Width: 8},
+		{Name: "addr", Width: 16},
+		{Name: "ctr", Width: 32},
+		{Name: "data", Width: 64},
+		{Name: "bus", Width: 128},
+	}
+}
+
+// ingestPayload synthesizes a deterministic n-record NDJSON stream over
+// ingestSchema via the wire Encoder, so both ingest arms read the exact
+// bytes psmd would receive.
+func ingestPayload(n int, seed uint64) []byte {
+	sigs := ingestSchema()
+	var buf bytes.Buffer
+	enc := stream.NewEncoder(&buf)
+	if err := enc.WriteHeader(stream.HeaderFor(sigs, []int{0, 1})); err != nil {
+		panic(err)
+	}
+	rng := seed | 1
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	row := make([]logic.Vector, len(sigs))
+	for i := 0; i < n; i++ {
+		for k, sig := range sigs {
+			switch {
+			case sig.Width <= 64:
+				row[k] = logic.FromUint64(sig.Width, next())
+			default:
+				v, err := logic.ParseHex(sig.Width, fmt.Sprintf("%016x%016x", next(), next()))
+				if err != nil {
+					panic(err)
+				}
+				row[k] = v
+			}
+		}
+		if err := enc.WriteRow(row, float64(next()%4096)/64); err != nil {
+			panic(err)
+		}
+	}
+	if err := enc.Flush(); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+func ingestConfig() stream.Config {
+	cfg := stream.DefaultConfig()
+	cfg.Inputs = []string{"en", "mode"}
+	return cfg
+}
+
+func recPerSec(n int, d time.Duration) float64 {
+	return float64(n) / d.Seconds()
+}
+
 // shardBatches precomputes the batch frame table over an NDJSON payload
 // produced by ingestPayload: byte range, record count and the physical
 // number of the first line (the header is line 1, records start at 2).
