@@ -56,11 +56,11 @@ func main() {
 	maxCV := flag.Float64("max-cv", psm.DefaultCalibrationPolicy().MaxCV, "calibrate: CV threshold for data-dependent states")
 	minR := flag.Float64("min-r", psm.DefaultCalibrationPolicy().MinR, "calibrate: minimum |Pearson r|")
 	maxRecords := flag.Int("max-records", serve.DefaultConfig().Stream.MaxRecords, "per-session record limit (0 = unlimited)")
-	maxSessions := flag.Int("max-sessions", serve.DefaultConfig().Stream.MaxOpenSessions, "concurrently open upload sessions (0 = unlimited; per shard when -shards > 1)")
-	shards := flag.Int("shards", 1, "ingest shards: > 1 partitions sessions across that many engines by consistent hash (model stays byte-identical)")
+	maxSessions := flag.Int("max-sessions", serve.DefaultConfig().Stream.MaxOpenSessions, "concurrently open upload sessions per shard (0 = unlimited)")
+	shards := flag.Int("shards", 1, "ingest shards: sessions partition across that many engines by consistent hash, each parsing and reducing on its own worker (model stays byte-identical)")
 	shardQueue := flag.Int("shard-queue-depth", 0, "per-shard ingest queue depth in batches (0 = shard package default)")
 	shardTimeout := flag.Duration("shard-enqueue-timeout", 0, "how long an append may block on a saturated shard before a 429 load-shed (0 = shard package default)")
-	retryAfter := flag.Duration("retry-after", 0, "Retry-After hint on single-engine admission 429s (0 = 1s)")
+	retryAfter := flag.Duration("retry-after", 0, "Retry-After hint on open-session-cap 429s (0 = 1s)")
 	maxLine := flag.Int("max-line-bytes", 1<<20, "NDJSON line length limit for uploads")
 	ingestBatch := flag.Int("ingest-batch", 256, "records per ingest batch (amortizes the atom-signature reduction)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines for snapshot rebuilds (model is identical for any value)")
@@ -179,8 +179,8 @@ func serveOn(ctx context.Context, ln net.Listener, srv *serve.Server, drain time
 	if err := hs.Shutdown(sctx); err != nil {
 		return fmt.Errorf("drain: %w", err)
 	}
-	// Under sharding, flush the shard queues into the engines and stop
-	// the workers so the final counters cover everything acknowledged.
+	// Flush the shard queues into the engines and stop the workers so
+	// the final counters cover everything acknowledged.
 	if err := srv.Drain(sctx); err != nil {
 		return fmt.Errorf("drain: %w", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"expvar"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"sort"
 	"sync"
@@ -182,6 +183,8 @@ type Registry struct {
 	hists     map[string]*Histogram
 	windows   map[string]*WindowedHistogram
 	wcounters map[string]*WindowedCounter
+	cfuncs    map[string]func() int64
+	gfuncs    map[string]func() float64
 }
 
 // NewRegistry returns an empty registry.
@@ -192,7 +195,34 @@ func NewRegistry() *Registry {
 		hists:     map[string]*Histogram{},
 		windows:   map[string]*WindowedHistogram{},
 		wcounters: map[string]*WindowedCounter{},
+		cfuncs:    map[string]func() int64{},
+		gfuncs:    map[string]func() float64{},
 	}
+}
+
+// CounterFunc registers a counter whose value is read from f whenever
+// the registry is exported — for totals another component owns, such as
+// a shard fleet's summed ingest counters. f runs outside the registry
+// lock, so it may take locks of its own, and it must be goroutine-safe.
+// A func-backed value replaces a plain counter of the same name in the
+// export.
+func (r *Registry) CounterFunc(name string, f func() int64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.cfuncs[name] = f
+	r.mu.Unlock()
+}
+
+// GaugeFunc is CounterFunc for a gauge.
+func (r *Registry) GaugeFunc(name string, f func() float64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.gfuncs[name] = f
+	r.mu.Unlock()
 }
 
 // Counter returns the named counter, creating it on first use.
@@ -298,7 +328,6 @@ func (r *Registry) Snapshot() Snapshot {
 		return s
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
 	}
@@ -313,6 +342,14 @@ func (r *Registry) Snapshot() Snapshot {
 		for name, wh := range r.windows {
 			s.Windows[name] = wh.Snapshot()
 		}
+	}
+	cfuncs, gfuncs := maps.Clone(r.cfuncs), maps.Clone(r.gfuncs)
+	r.mu.Unlock()
+	for name, f := range cfuncs {
+		s.Counters[name] = f()
+	}
+	for name, f := range gfuncs {
+		s.Gauges[name] = f()
 	}
 	return s
 }

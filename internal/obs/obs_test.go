@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -400,4 +401,79 @@ func TestCLIBindFlags(t *testing.T) {
 	if err := fs2.Parse([]string{"-provenance", "p"}); err == nil {
 		t.Fatal("-provenance must be absent when withProvenance=false")
 	}
+}
+
+// TestDecisionsRoundTripNonFinite pins the encoding of non-finite
+// statistics: a constant-power state tested against a different one
+// gives t = ±Inf, a poisoned trace NaN moments. encoding/json rejects
+// both as numbers, so they travel as strings and read back as the same
+// values; finite decisions keep the plain encoding/json form.
+func TestDecisionsRoundTripNonFinite(t *testing.T) {
+	in := []MergeDecision{
+		{Phase: "simplify", Trace: 0,
+			A:    MomentsRecord{State: 1, N: 5, Sum: 5, SumSq: 5, Mean: 1, Std: 0},
+			B:    MomentsRecord{State: 2, N: 1, Sum: 3.5, SumSq: 12.25, Mean: 3.5},
+			Case: 3, Test: "one-sample", Stat: 0, Threshold: 0.05, T: math.Inf(-1)},
+		{Seq: 1, Phase: "join", Trace: -1, Case: 2, Test: "welch", Stat: 0, Threshold: 0.05, T: math.Inf(1)},
+		{Seq: 2, Phase: "join", Trace: -1, Test: "non-finite",
+			A:    MomentsRecord{State: 3, N: 2, Sum: math.NaN(), SumSq: math.Inf(1), Mean: math.NaN(), Std: math.NaN()},
+			Stat: math.NaN(), Threshold: math.Inf(1)},
+	}
+	var buf bytes.Buffer
+	if err := WriteDecisions(&buf, in); err != nil {
+		t.Fatal(err)
+	}
+	out, err := ReadDecisions(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprintf("%+v", out), fmt.Sprintf("%+v", in); got != want {
+		t.Fatalf("round trip:\ngot  %s\nwant %s", got, want)
+	}
+	if !strings.Contains(buf.String(), `"t":"-Inf"`) || !strings.Contains(buf.String(), `"stat":"NaN"`) {
+		t.Fatalf("non-finite values not encoded as strings:\n%s", buf.String())
+	}
+
+	finite := MergeDecision{Seq: 7, Phase: "join", Trace: -1,
+		A:    MomentsRecord{State: 1, N: 2, Sum: 1e-7, SumSq: 1e22, Mean: 0.5, Std: 0.25},
+		Case: 1, Test: "epsilon", Stat: 0.01, Threshold: 0.05, Accept: true}
+	buf.Reset()
+	if err := WriteDecisions(&buf, []MergeDecision{finite}); err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"seq":7,"phase":"join","trace":-1,"a":{"state":1,"n":2,"sum":1e-7,"sumsq":1e+22,"mean":0.5,"std":0.25},` +
+		`"b":{"state":0,"n":0,"sum":0,"sumsq":0,"mean":0,"std":0},"case":1,"test":"epsilon","stat":0.01,"threshold":0.05,"accept":true}` + "\n"
+	if buf.String() != want {
+		t.Fatalf("finite decision encoding moved:\ngot  %s\nwant %s", buf.String(), want)
+	}
+}
+
+// TestRegistryFuncInstruments pins func-backed instruments: the value
+// is read at export time, in both export forms, and may take locks of
+// its own while the registry is being read.
+func TestRegistryFuncInstruments(t *testing.T) {
+	reg := NewRegistry()
+	var n int64
+	reg.CounterFunc("owned_total", func() int64 { return n })
+	reg.GaugeFunc("owned_open", func() float64 {
+		reg.Counter("touched_total") // re-entering the registry must not deadlock
+		return float64(n) / 2
+	})
+	n = 42
+	s := reg.Snapshot()
+	if s.Counters["owned_total"] != 42 || s.Gauges["owned_open"] != 21 {
+		t.Fatalf("snapshot = %v / %v", s.Counters, s.Gauges)
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"# TYPE owned_total counter\nowned_total 42\n", "# TYPE owned_open gauge\nowned_open 21\n"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("prometheus exposition lacks %q:\n%s", want, buf.String())
+		}
+	}
+	var nilReg *Registry
+	nilReg.CounterFunc("x", func() int64 { return 1 })
+	nilReg.GaugeFunc("y", func() float64 { return 1 })
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 )
@@ -118,9 +119,100 @@ func phaseRank(phase string) int {
 	return 1
 }
 
+// wireFloat is a float64 that survives JSON. A finite value encodes as
+// the number encoding/json writes for a float64; ±Inf and NaN, which
+// encoding/json rejects, encode as the strings "+Inf", "-Inf" and
+// "NaN". A constant-power state tested against a different one gives
+// t = ±Inf, and a poisoned power trace gives NaN moments.
+type wireFloat float64
+
+func (f wireFloat) MarshalJSON() ([]byte, error) {
+	switch v := float64(f); {
+	case math.IsNaN(v):
+		return []byte(`"NaN"`), nil
+	case math.IsInf(v, 1):
+		return []byte(`"+Inf"`), nil
+	case math.IsInf(v, -1):
+		return []byte(`"-Inf"`), nil
+	default:
+		return json.Marshal(v)
+	}
+}
+
+func (f *wireFloat) UnmarshalJSON(b []byte) error {
+	switch string(b) {
+	case `"NaN"`:
+		*f = wireFloat(math.NaN())
+	case `"+Inf"`:
+		*f = wireFloat(math.Inf(1))
+	case `"-Inf"`:
+		*f = wireFloat(math.Inf(-1))
+	default:
+		var v float64
+		if err := json.Unmarshal(b, &v); err != nil {
+			return err
+		}
+		*f = wireFloat(v)
+	}
+	return nil
+}
+
+// momentsWire and decisionWire are the JSON forms of MomentsRecord and
+// MergeDecision: the same fields in the same order, floats as
+// wireFloats.
+type momentsWire struct {
+	State int       `json:"state"`
+	N     int       `json:"n"`
+	Sum   wireFloat `json:"sum"`
+	SumSq wireFloat `json:"sumsq"`
+	Mean  wireFloat `json:"mean"`
+	Std   wireFloat `json:"std"`
+}
+
+type decisionWire struct {
+	Seq       int         `json:"seq"`
+	Phase     string      `json:"phase"`
+	Trace     int         `json:"trace"`
+	A         momentsWire `json:"a"`
+	B         momentsWire `json:"b"`
+	Case      int         `json:"case"`
+	Test      string      `json:"test"`
+	Stat      wireFloat   `json:"stat"`
+	Threshold wireFloat   `json:"threshold"`
+	T         wireFloat   `json:"t,omitempty"`
+	Accept    bool        `json:"accept"`
+}
+
+func (m MomentsRecord) wire() momentsWire {
+	return momentsWire{m.State, m.N, wireFloat(m.Sum), wireFloat(m.SumSq), wireFloat(m.Mean), wireFloat(m.Std)}
+}
+
+func (m momentsWire) record() MomentsRecord {
+	return MomentsRecord{m.State, m.N, float64(m.Sum), float64(m.SumSq), float64(m.Mean), float64(m.Std)}
+}
+
+// MarshalJSON encodes the decision with non-finite statistics as
+// strings (see wireFloat), so a log always encodes in full.
+func (d MergeDecision) MarshalJSON() ([]byte, error) {
+	return json.Marshal(decisionWire{d.Seq, d.Phase, d.Trace, d.A.wire(), d.B.wire(), d.Case, d.Test,
+		wireFloat(d.Stat), wireFloat(d.Threshold), wireFloat(d.T), d.Accept})
+}
+
+// UnmarshalJSON is MarshalJSON's inverse.
+func (d *MergeDecision) UnmarshalJSON(b []byte) error {
+	var w decisionWire
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*d = MergeDecision{w.Seq, w.Phase, w.Trace, w.A.record(), w.B.record(), w.Case, w.Test,
+		float64(w.Stat), float64(w.Threshold), float64(w.T), w.Accept}
+	return nil
+}
+
 // WriteDecisions streams decisions as NDJSON, one decision per line —
 // the wire format of both `psmreport provenance` and psmd's
-// GET /v1/provenance.
+// GET /v1/provenance. Non-finite statistics encode as strings (see
+// MergeDecision.MarshalJSON) and ReadDecisions restores them.
 func WriteDecisions(w io.Writer, ds []MergeDecision) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)

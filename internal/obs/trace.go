@@ -33,9 +33,15 @@ type spanRecord struct {
 }
 
 // Tracer collects spans. Ended spans are emitted immediately as one
-// NDJSON event each (when the tracer has a writer) and retained —
-// bounded — for the per-run summary tree. All methods are goroutine-
-// safe; spans from concurrent workers interleave in end order.
+// NDJSON event each (when the tracer has a writer) and, on a tracer
+// built by NewTracer, retained — bounded — for the per-run summary
+// tree. All methods are goroutine-safe; spans from concurrent workers
+// interleave in end order.
+//
+// The zero Tracer is ready to use: it feeds an attached flight recorder
+// and span window (SetFlight, SetSpanWindow) but emits no events and
+// keeps no span records, so its Summary is empty. psmd's always-on
+// internal tracer is one — nothing reads its summary.
 type Tracer struct {
 	nextID atomic.Int64
 
@@ -44,16 +50,20 @@ type Tracer struct {
 	flight  *Flight
 	spanWin *WindowedHistogram
 
+	// w and summary are fixed at construction.
+	w       io.Writer // nil: no events
+	summary bool      // retain span records for Summary (NewTracer)
+
 	mu      sync.Mutex
-	w       io.Writer // nil: summary only
 	records []spanRecord
 	dropped int
 	err     error // first write error
 }
 
-// NewTracer returns a tracer streaming span events to w as NDJSON.
-// A nil w collects the summary tree without emitting events.
-func NewTracer(w io.Writer) *Tracer { return &Tracer{w: w} }
+// NewTracer returns a tracer streaming span events to w as NDJSON and
+// retaining the span records its summary tree is built from. A nil w
+// collects the summary tree without emitting events.
+func NewTracer(w io.Writer) *Tracer { return &Tracer{w: w, summary: true} }
 
 // SetFlight attaches a flight recorder: every ended span is also
 // captured in the ring. Attach before the tracer is shared across
@@ -141,8 +151,9 @@ type spanEvent struct {
 	Attrs   map[string]interface{} `json:"attrs,omitempty"`
 }
 
-// End closes the span: the event is emitted and the span joins the
-// summary tree. End is idempotent; a nil span no-ops.
+// End closes the span: the flight recorder and span window see it, the
+// event is emitted and the span joins the summary tree. End is
+// idempotent; a nil span no-ops.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -155,36 +166,45 @@ func (s *Span) End() {
 	s.ended = true
 	dur := time.Since(s.start)
 	at := s.attrs
-	var attrs map[string]interface{}
-	if len(s.attrs) > 0 {
-		attrs = make(map[string]interface{}, len(s.attrs))
-		for _, a := range s.attrs {
-			attrs[a.Key] = a.Value
-		}
-	}
 	s.mu.Unlock()
 
 	t := s.t
 	t.flight.RecordSpan(s.name, s.id, s.parent, s.start, dur, at)
 	t.spanWin.Observe(float64(dur.Nanoseconds()) / 1e6)
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	if t.w == nil && !t.summary {
+		return
+	}
+	var line []byte
+	var err error
 	if t.w != nil {
-		ev := spanEvent{
+		var attrs map[string]interface{}
+		if len(at) > 0 {
+			attrs = make(map[string]interface{}, len(at))
+			for _, a := range at {
+				attrs[a.Key] = a.Value
+			}
+		}
+		line, err = json.Marshal(spanEvent{
 			Name:    s.name,
 			ID:      s.id,
 			Parent:  s.parent,
 			StartNS: s.start.UnixNano(),
 			DurNS:   dur.Nanoseconds(),
 			Attrs:   attrs,
-		}
-		line, err := json.Marshal(ev)
+		})
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.w != nil {
 		if err == nil {
 			_, err = fmt.Fprintf(t.w, "%s\n", line)
 		}
 		if err != nil && t.err == nil {
 			t.err = err
 		}
+	}
+	if !t.summary {
+		return
 	}
 	if len(t.records) < maxSpanRecords {
 		t.records = append(t.records, spanRecord{id: s.id, parent: s.parent, name: s.name, dur: dur})

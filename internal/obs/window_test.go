@@ -185,3 +185,38 @@ func TestTracerFlightAndSpanWindow(t *testing.T) {
 		t.Fatalf("span window Count = %d, want 1", got.Count)
 	}
 }
+
+// TestZeroTracerKeepsNoRecords pins psmd's always-on tracer: the zero
+// Tracer feeds the flight recorder and the span window every span but
+// retains no span records, so its summary stays empty however long the
+// daemon runs; NewTracer(nil) keeps them for its summary.
+func TestZeroTracerKeepsNoRecords(t *testing.T) {
+	f := NewFlight(64)
+	wh := NewWindowedHistogram([]float64{1e6}, time.Minute, 1)
+	tr := new(Tracer)
+	tr.SetFlight(f)
+	tr.SetSpanWindow(wh)
+	ctx := WithTracer(context.Background(), tr)
+	for i := 0; i < 10; i++ {
+		cctx, sp := Start(ctx, "work")
+		_, child := Start(cctx, "step", KV("i", i))
+		child.End()
+		sp.End()
+	}
+	if len(tr.records) != 0 || tr.Summary().Count != 0 {
+		t.Fatalf("zero tracer kept %d records (summary count %d)", len(tr.records), tr.Summary().Count)
+	}
+	if got := len(f.Snapshot()); got != 20 {
+		t.Fatalf("flight captured %d spans, want 20", got)
+	}
+	if got := wh.Snapshot().Count; got != 20 {
+		t.Fatalf("span window observed %d spans, want 20", got)
+	}
+
+	summary := NewTracer(nil)
+	_, sp := Start(WithTracer(context.Background(), summary), "work")
+	sp.End()
+	if summary.Summary().Count != 1 {
+		t.Fatal("NewTracer(nil) lost its summary")
+	}
+}

@@ -41,10 +41,9 @@ type metricsDoc struct {
 	// SlowSessions is the top-K slowest /v1/traces sessions with their
 	// per-stage wall-time attribution.
 	SlowSessions []sessionTimeline `json:"slow_sessions"`
-	// Shards carries the per-shard rows under sharded ingest (-shards>1):
-	// one entry per shard engine with its own ingest counters, live queue
-	// depth and load-shed count. Absent on the single-engine path.
-	Shards []shard.ShardMetric `json:"shards,omitempty"`
+	// Shards carries the per-shard rows: one entry per shard engine with
+	// its own ingest counters, live queue depth and load-shed count.
+	Shards []shard.ShardMetric `json:"shards"`
 }
 
 func metricsOf(m stream.Metrics, uptime time.Duration) metricsDoc {
@@ -83,13 +82,14 @@ func metricsOf(m stream.Metrics, uptime time.Duration) metricsDoc {
 }
 
 // handleMetrics renders the metrics surface. The default is the
-// expvar-style JSON document with the server's own "psmd" section (one
-// consistent engine epoch — see stream.Engine.Metrics) injected
-// alongside the process-global vars (cmdline, memstats) via
-// obs.WriteExpvarJSON — each server renders its own engine's counters,
-// so several servers in one process never contend over the global
-// expvar namespace. ?format=prometheus serves the engine registry in
-// the Prometheus text exposition format instead.
+// expvar-style JSON document with the server's own "psmd" section (the
+// fleet sums and the per-shard rows — see shard.Coordinator.Metrics)
+// injected alongside the process-global vars (cmdline, memstats) via
+// obs.WriteExpvarJSON — each server renders its own counters, so
+// several servers in one process never contend over the global expvar
+// namespace. ?format=prometheus serves the coordinator's registry, the
+// fleet's summed ingest counters included, in the Prometheus text
+// exposition format instead.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
@@ -100,14 +100,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		doc := metricsOf(s.Metrics(), time.Since(s.start))
 		doc.SlowSessions = s.slowSessions()
-		doc.Shards = s.ShardMetrics()
+		doc.Shards = s.co.ShardMetrics()
 		//psmlint:ignore err-drop response already committed; a write error here means the client left
 		obs.WriteExpvarJSON(w, map[string]interface{}{
 			"psmd":          doc,
-			"psmd_registry": s.registry().Snapshot(),
+			"psmd_registry": s.co.Registry().Snapshot(),
 		})
 	case "prometheus":
-		reg := s.registry()
+		reg := s.co.Registry()
 		reg.Gauge("psmd_uptime_seconds").Set(time.Since(s.start).Seconds())
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		//psmlint:ignore err-drop response already committed; a write error here means the client left

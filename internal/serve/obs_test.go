@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +18,7 @@ import (
 	"psmkit/internal/logic"
 	"psmkit/internal/obs"
 	"psmkit/internal/pipeline"
+	"psmkit/internal/psm"
 	"psmkit/internal/stream"
 	"psmkit/internal/trace"
 )
@@ -272,5 +276,137 @@ func TestMetricsDuringUploads(t *testing.T) {
 	if doc.PSMD.RecordsIngested != wantRecords || doc.PSMD.TracesCompleted != uploaders*rounds {
 		t.Fatalf("final counters: %d records / %d traces, want %d / %d\n%s",
 			doc.PSMD.RecordsIngested, doc.PSMD.TracesCompleted, wantRecords, uploaders*rounds, body)
+	}
+}
+
+// TestPrometheusFleetCounters pins the fleet ingest counters on both
+// export forms at one shard and at 2: the shard engines count into
+// private registries, and the coordinator's registry must still carry
+// the fleet values — equal to Server.Metrics — without per-shard
+// collisions.
+func TestPrometheusFleetCounters(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		srv := newShardedTestServer(shards)
+		ts := httptest.NewServer(srv.Handler())
+		for i := 0; i < 3; i++ {
+			resp := mustPost(t, ts.URL+"/v1/traces", genNDJSON(t, int64(500+i), 150, true))
+			if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
+				t.Fatalf("shards=%d: upload %d: %s", shards, i, body)
+			}
+		}
+		m := srv.Metrics()
+		prom := readAll(t, mustGet(t, ts.URL+"/metrics?format=prometheus"))
+		for _, want := range []string{
+			fmt.Sprintf("psmd_records_ingested_total %d\n", m.RecordsIngested),
+			fmt.Sprintf("psmd_traces_completed_total %d\n", m.TracesCompleted),
+			fmt.Sprintf("psmd_sessions_open %d\n", m.OpenSessions),
+		} {
+			if !strings.Contains(prom, want) {
+				t.Fatalf("shards=%d: prometheus exposition lacks %q", shards, want)
+			}
+		}
+		var doc struct {
+			Registry obs.Snapshot `json:"psmd_registry"`
+		}
+		if err := json.Unmarshal([]byte(readAll(t, mustGet(t, ts.URL+"/metrics"))), &doc); err != nil {
+			t.Fatal(err)
+		}
+		if c := doc.Registry.Counters; c["psmd_records_ingested_total"] != 450 || c["psmd_traces_completed_total"] != 3 {
+			t.Fatalf("shards=%d: psmd_registry counters %v, want 450 records / 3 traces", shards, c)
+		}
+		if g, ok := doc.Registry.Gauges["psmd_sessions_open"]; !ok || g != 0 {
+			t.Fatalf("shards=%d: psmd_registry gauge psmd_sessions_open = %v (present %v), want 0", shards, g, ok)
+		}
+		ts.Close()
+		if err := srv.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestProvenanceNonFiniteParity pins /v1/provenance on a case whose
+// decisions carry non-finite statistics: the power of every en=0
+// instant is exactly 1.0, so a constant-power until-state tested
+// against a one-instant en=1 next-state gives t = -Inf. The served
+// NDJSON must still be byte-identical to `psmreport provenance` — the
+// batch chains joined by psm.JoinCtx — over the same traces in
+// canonical order, at one shard and at 2.
+func TestProvenanceNonFiniteParity(t *testing.T) {
+	const traces = 4
+	var allRows [][][]logic.Vector
+	var allPows [][]float64
+	for i := 0; i < traces; i++ {
+		rows, pows := genRows(int64(700+i), 300)
+		for k, row := range rows {
+			if row[0].Bit(0) == 0 {
+				pows[k] = 1.0
+			}
+		}
+		allRows, allPows = append(allRows, rows), append(allPows, pows)
+	}
+	for _, shards := range []int{1, 2} {
+		srv := newShardedTestServer(shards)
+		ts := httptest.NewServer(srv.Handler())
+		type ack struct{ shard, local, trace int }
+		var acks []ack
+		for i := range allRows {
+			resp := mustPost(t, fmt.Sprintf("%s/v1/traces?session=s%d", ts.URL, i), uploadBody(t, allRows[i], allPows[i]))
+			body := readAll(t, resp)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("shards=%d: upload %d: %s", shards, i, body)
+			}
+			var res struct {
+				Trace int `json:"trace"`
+				Shard int `json:"shard"`
+			}
+			if err := json.Unmarshal([]byte(body), &res); err != nil {
+				t.Fatalf("shards=%d: upload %d: ack %s (%v)", shards, i, body, err)
+			}
+			acks = append(acks, ack{res.Shard, res.Trace, i})
+		}
+		served := readAll(t, mustGet(t, ts.URL+"/v1/provenance"))
+
+		sort.Slice(acks, func(a, b int) bool {
+			if acks[a].shard != acks[b].shard {
+				return acks[a].shard < acks[b].shard
+			}
+			return acks[a].local < acks[b].local
+		})
+		var rows [][][]logic.Vector
+		var pows [][]float64
+		for _, a := range acks {
+			rows, pows = append(rows, allRows[a.trace]), append(pows, allPows[a.trace])
+		}
+		scfg := srv.cfg.Stream
+		fts, pws := batchTraces(rows, pows)
+		log := obs.NewProvenanceLog()
+		ctx := obs.WithProvenance(context.Background(), log)
+		chains, err := pipeline.BuildChains(ctx, fts, pws, pipeline.Config{Workers: 2, Mining: scfg.Mining, Merge: scfg.Merge})
+		if err != nil {
+			t.Fatal(err)
+		}
+		psm.JoinCtx(ctx, chains, scfg.Merge)
+		ds := log.Decisions()
+		nonFinite := 0
+		for _, d := range ds {
+			if math.IsInf(d.T, 0) || math.IsNaN(d.T) || math.IsInf(d.Stat, 0) || math.IsNaN(d.Stat) {
+				nonFinite++
+			}
+		}
+		if nonFinite == 0 {
+			t.Fatalf("shards=%d: the case no longer produces a non-finite statistic", shards)
+		}
+		var want bytes.Buffer
+		if err := obs.WriteDecisions(&want, ds); err != nil {
+			t.Fatal(err)
+		}
+		if served != want.String() {
+			t.Fatalf("shards=%d: /v1/provenance (%d bytes) differs from the batch log (%d bytes, %d decisions, %d non-finite)",
+				shards, len(served), want.Len(), len(ds), nonFinite)
+		}
+		ts.Close()
+		if err := srv.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -1,9 +1,11 @@
-// Package serve is the HTTP face of the streaming engine: it exposes
-// trace ingestion, live model export, co-simulation power estimation and
-// operational metrics over a small REST surface, reusing the batch flow's
-// building blocks — the internal/stream engine for ingestion and joins,
-// internal/check as the gate a model must pass before it leaves the
-// process, and internal/powersim for estimation.
+// Package serve is psmd's HTTP face: it exposes trace ingestion, live
+// model export, co-simulation power estimation and operational metrics
+// over a small REST surface. Every server serves through one
+// shard.Coordinator — one shard unless Config.Shards asks for more —
+// whose shard workers parse and reduce the uploads and whose snapshot
+// joins them into the live model; internal/check is the gate a model
+// must pass before it leaves the process, and internal/powersim runs
+// the estimation.
 //
 // Endpoints:
 //
@@ -11,7 +13,8 @@
 //	                    format: header line, then one record per instant).
 //	                    Concurrent uploads are independent sessions; a
 //	                    dropped connection aborts its session without
-//	                    touching the model.
+//	                    touching the model. The ack names the session's
+//	                    shard and its trace index there.
 //	GET  /v1/model    — export the live model (?format=json|dot), rebuilt
 //	                    incrementally from completed sessions and verified
 //	                    by the psmlint rule set before serving.
@@ -22,8 +25,10 @@
 //	                    model as NDJSON: one Section IV-A mergeability
 //	                    decision per line, canonically ordered (equal to
 //	                    `psmreport provenance` over the same traces).
+//	GET  /v1/status   — SLO health: windowed quantiles, burn, watermarks,
+//	                    one row per shard, the slow-session table.
 //	GET  /metrics     — expvar-style JSON: ingestion counters, join
-//	                    latency histogram, memstats
+//	                    latency histogram, one row per shard, memstats
 //	                    (?format=prometheus for the text exposition).
 //	GET  /debug/pprof — the standard profiling handlers.
 package serve
@@ -46,7 +51,6 @@ import (
 	"psmkit/internal/logic"
 	"psmkit/internal/obs"
 	"psmkit/internal/powersim"
-	"psmkit/internal/psm"
 	"psmkit/internal/shard"
 	"psmkit/internal/stats"
 	"psmkit/internal/stream"
@@ -55,17 +59,15 @@ import (
 
 // Config tunes the server.
 type Config struct {
-	// Stream configures the ingestion engine (policies, worker budget,
-	// per-session record bound, open-session cap). Under sharding
-	// (Shards > 1) every shard engine gets this configuration;
-	// MaxOpenSessions then caps each shard, not the fleet.
+	// Stream configures the shard engines (policies, worker budget,
+	// per-session record bound, open-session cap); every shard gets this
+	// configuration, so MaxOpenSessions caps each shard, not the fleet.
 	Stream stream.Config
-	// Shards selects the sharded ingest fan-out: > 1 partitions sessions
-	// across that many engines behind a shard.Coordinator (consistent
-	// hash on the session id, one reducer goroutine per shard, bounded
-	// queues with 429 + Retry-After load-shed). The served model stays
-	// byte-identical to the single-engine path; ≤ 1 runs one engine
-	// in-handler, exactly as before.
+	// Shards is the shard count of the server's shard.Coordinator; ≤ 1
+	// selects one shard. Sessions partition across the shards by
+	// consistent hash on the session id, each shard parses and reduces
+	// on its own worker behind a bounded queue (429 + Retry-After
+	// load-shed), and the served model is byte-identical for any count.
 	Shards int
 	// ShardQueueDepth bounds each shard's task queue in batches;
 	// ≤ 0 selects the shard package default (512).
@@ -74,17 +76,18 @@ type Config struct {
 	// shard before the upload is shed with 429 + Retry-After; ≤ 0
 	// selects the shard package default (2 s).
 	ShardEnqueueTimeout time.Duration
-	// RetryAfter is the back-off hint attached to admission-control 429s
-	// of the single-engine path (open-session cap); ≤ 0 selects 1 s.
-	// Sharded load-shed responses use the shard's enqueue timeout
-	// instead — that is how long the queue actually stayed full.
+	// RetryAfter is the back-off hint attached to the 429s of a shard's
+	// open-session cap; ≤ 0 selects 1 s. Queue load-shed 429s use the
+	// shard's enqueue timeout instead — that is how long the queue
+	// actually stayed full.
 	RetryAfter time.Duration
 	// MaxLineBytes bounds one NDJSON line of an upload; ≤ 0 selects 1 MiB.
 	MaxLineBytes int
-	// IngestBatch is how many records the trace ingest path accumulates
-	// before handing them to Session.AppendBatch; ≤ 0 selects 256. Larger
-	// batches amortize the atom-signature reduction, smaller ones bound
-	// the memory a slow upload pins.
+	// IngestBatch is how many record lines the upload handler frames
+	// into one batch before handing it to the session's shard
+	// (shard.Session.AppendLines); ≤ 0 selects 256. Larger batches
+	// amortize the queue hop and the atom-signature reduction, smaller
+	// ones bound the memory a slow upload pins.
 	IngestBatch int
 	// CheckOptions parameterizes the model verifier gating GET /v1/model.
 	CheckOptions check.Options
@@ -92,8 +95,9 @@ type Config struct {
 	Sim powersim.Config
 	// Tracer, when set, attaches to every request context: ingestion and
 	// snapshot spans stream to it as NDJSON (psmd -trace). When nil the
-	// server still runs an internal tracer (summary-only, no event
-	// writer) so the always-on flight recorder sees every span.
+	// server still runs an internal tracer — the zero obs.Tracer, which
+	// emits no events and keeps no span records — so the always-on
+	// flight recorder and span window see every span.
 	Tracer *obs.Tracer
 	// Flight, when set, is the flight recorder the server's tracer and
 	// handlers capture into; nil builds a private ring of FlightEntries
@@ -130,12 +134,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// Server routes the endpoints to a streaming engine — or, when
-// cfg.Shards > 1, to a shard.Coordinator running several of them as one
-// logical model. Exactly one of eng and co is set.
+// Server routes the endpoints to its shard.Coordinator.
 type Server struct {
 	cfg    Config
-	eng    *stream.Engine
 	co     *shard.Coordinator
 	start  time.Time
 	tracer *obs.Tracer
@@ -155,32 +156,28 @@ type Server struct {
 	slow        []sessionTimeline
 }
 
-// New builds a server around a fresh engine. Runtime diagnostics are
-// always on: every request runs under a tracer (the configured one, or
-// an internal summary-only tracer), every ended span lands in the
-// flight recorder, and the /v1/ middleware keeps the windowed SLO
-// instruments current.
+// New builds a server around a fresh shard coordinator. Runtime
+// diagnostics are always on: every request runs under a tracer (the
+// configured one, or an internal one that keeps no span records), every
+// ended span lands in the flight recorder, and the /v1/ middleware
+// keeps the windowed SLO instruments current.
 func New(cfg Config) *Server {
 	s := &Server{cfg: cfg, start: time.Now(), log: cfg.Log}
-	if cfg.Shards > 1 {
-		s.co = shard.New(shard.Config{
-			Shards:         cfg.Shards,
-			Stream:         cfg.Stream,
-			QueueDepth:     cfg.ShardQueueDepth,
-			EnqueueTimeout: cfg.ShardEnqueueTimeout,
-		})
-	} else {
-		s.eng = stream.NewEngine(cfg.Stream)
-	}
+	s.co = shard.New(shard.Config{
+		Shards:         cfg.Shards,
+		Stream:         cfg.Stream,
+		QueueDepth:     cfg.ShardQueueDepth,
+		EnqueueTimeout: cfg.ShardEnqueueTimeout,
+	})
 	s.flight = cfg.Flight
 	if s.flight == nil {
 		s.flight = obs.NewFlight(cfg.FlightEntries)
 	}
 	s.tracer = cfg.Tracer
 	if s.tracer == nil {
-		s.tracer = obs.NewTracer(nil)
+		s.tracer = new(obs.Tracer)
 	}
-	reg := s.registry()
+	reg := s.co.Registry()
 	s.tracer.SetFlight(s.flight)
 	s.tracer.SetSpanWindow(reg.Window("psmd_span_ms_window", stream.LatencyBuckets, obs.DefaultWindowInterval, obs.DefaultWindowSlots))
 	s.mReqs = reg.Counter("psmd_requests_total")
@@ -195,77 +192,18 @@ func New(cfg Config) *Server {
 // crash-path dumps).
 func (s *Server) Flight() *obs.Flight { return s.flight }
 
-// Engine exposes the underlying engine (tests, cmd wiring). It is nil
-// under sharding — use Coordinator there, or Metrics for the counters.
-func (s *Server) Engine() *stream.Engine { return s.eng }
-
-// Coordinator exposes the shard coordinator (nil when Shards ≤ 1).
+// Coordinator exposes the server's shard coordinator.
 func (s *Server) Coordinator() *shard.Coordinator { return s.co }
 
-// The two backends expose the same model/metrics surface; these
-// accessors pick the live one so every handler is backend-agnostic.
-
-func (s *Server) registry() *obs.Registry {
-	if s.co != nil {
-		return s.co.Registry()
-	}
-	return s.eng.Registry()
-}
-
-func (s *Server) snapshot(ctx context.Context) (*psm.Model, error) {
-	if s.co != nil {
-		return s.co.Snapshot(ctx)
-	}
-	return s.eng.Snapshot(ctx)
-}
-
-func (s *Server) provenance(ctx context.Context) ([]obs.MergeDecision, error) {
-	if s.co != nil {
-		return s.co.Provenance(ctx)
-	}
-	return s.eng.Provenance(ctx)
-}
-
-func (s *Server) inputCols() []int {
-	if s.co != nil {
-		return s.co.InputCols()
-	}
-	return s.eng.InputCols()
-}
-
-func (s *Server) joinWindow() obs.HistogramSnapshot {
-	if s.co != nil {
-		return s.co.JoinLatencyWindow()
-	}
-	return s.eng.JoinLatencyWindow()
-}
-
-// Metrics returns the backend's aggregated counters (the fleet sum
-// under sharding; see shard.Coordinator.Metrics).
-func (s *Server) Metrics() stream.Metrics {
-	if s.co != nil {
-		return s.co.Metrics()
-	}
-	return s.eng.Metrics()
-}
-
-// ShardMetrics returns the per-shard rows (nil when not sharded).
-func (s *Server) ShardMetrics() []shard.ShardMetric {
-	if s.co == nil {
-		return nil
-	}
-	return s.co.ShardMetrics()
-}
+// Metrics returns the fleet's aggregated counters (see
+// shard.Coordinator.Metrics).
+func (s *Server) Metrics() stream.Metrics { return s.co.Metrics() }
 
 // Drain is the graceful-shutdown barrier, called after the HTTP server
-// has stopped accepting requests: under sharding it flushes every shard
-// queue into the engines — so the final metrics and any final snapshot
-// cover everything acknowledged — and stops the shard workers. The
-// single-engine path has nothing queued and nothing to stop.
+// has stopped accepting requests: it flushes every shard queue into the
+// engines — so the final metrics and any final snapshot cover
+// everything acknowledged — and stops the shard workers.
 func (s *Server) Drain(ctx context.Context) error {
-	if s.co == nil {
-		return nil
-	}
 	err := s.co.Flush(ctx)
 	s.co.Close()
 	return err
@@ -349,21 +287,20 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return w.ResponseWriter.Write(p)
 }
 
-// ingestResult is the response of a completed upload. Trace is the
-// backend-local completion index (shard-local under sharding, where
-// Shard identifies the engine that owns the session).
+// ingestResult is the response of a completed upload: the shard that
+// owns the session and the session's completion index there.
 type ingestResult struct {
-	Trace   int  `json:"trace"`
-	Records int  `json:"records"`
-	Shard   *int `json:"shard,omitempty"`
+	Trace   int `json:"trace"`
+	Records int `json:"records"`
+	Shard   int `json:"shard"`
 }
 
 // ingestError maps an ingest-path failure onto its HTTP status.
 // Admission-control and load-shed rejections are 429s carrying a
 // Retry-After hint: the shard's enqueue timeout when a queue shed the
 // upload (that is how long it actually stayed full), the configured
-// hint when an engine's open-session cap rejected it. Everything else
-// is the client's malformed stream — 400.
+// hint when a shard's open-session cap rejected it. Everything else is
+// the client's malformed stream — 400.
 func (s *Server) ingestError(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
 	var sat *shard.SaturatedError
@@ -393,12 +330,13 @@ func retryAfterSeconds(d time.Duration) int {
 // a body read error and the session aborts — nothing partial reaches the
 // model.
 //
-// This is the hot ingest path: records are line-scanned zero-copy
-// (stream.Scanner), their valuations parsed into two alternating
-// logic.Arenas — the engine keeps each batch's last row as input-HD
-// history for one more batch, so the arena a batch used is recycled only
-// after the NEXT batch lands — and appended IngestBatch records at a
-// time (Session.AppendBatch).
+// The handler only frames raw NDJSON lines into batches of IngestBatch
+// records and hands them to the session's shard
+// (shard.Session.AppendLines transfers buffer ownership); the shard's
+// worker does the parse and the atom-signature reduction off the
+// request path. The optional ?session= query parameter names the
+// session for routing — uploads sharing an id land on the same shard;
+// absent, the coordinator assigns one.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -418,134 +356,6 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if s.co != nil {
-		s.handleTracesSharded(w, r, begin, span, sc, sigs)
-		return
-	}
-	sess, err := s.eng.Open(sigs)
-	if err != nil {
-		s.log.Warn("session rejected", obs.KV("err", err.Error()))
-		s.ingestError(w, err)
-		return
-	}
-
-	// The session timeline attributes this upload's wall time to its
-	// stages (scan / parse / reduce / join); the top-K slowest feed the
-	// /metrics and /v1/status slow-session tables. Aborted sessions keep
-	// Trace = -1. Recording rides the response commit (the same
-	// before-the-first-byte discipline as the SLO middleware), so a
-	// client holding its ack already finds its session in the tables;
-	// the defer covers sessions whose client vanished before a response.
-	tl := &sessionTimeline{Session: s.nextSession.Add(1), Trace: -1}
-	sw := &statusWriter{ResponseWriter: w, commit: func(int) {
-		tl.TotalNS = time.Since(begin).Nanoseconds()
-		s.recordTimeline(tl)
-	}}
-	w = sw
-	defer func() {
-		if sw.code == 0 {
-			sw.commit(0)
-		}
-	}()
-
-	batch := s.cfg.IngestBatch
-	if batch <= 0 {
-		batch = 256
-	}
-	var (
-		arenas [2]logic.Arena
-		epoch  int
-		raw    stream.RawRecord
-		rows   = make([][]logic.Vector, 0, batch)
-		powers = make([]float64, 0, batch)
-		rowMem = make([]logic.Vector, batch*len(sigs))
-	)
-	flush := func() error {
-		if len(rows) == 0 {
-			return nil
-		}
-		t0 := time.Now()
-		err := sess.AppendBatch(rows, powers)
-		tl.ReduceNS += time.Since(t0).Nanoseconds()
-		tl.Records += len(rows)
-		rows, powers = rows[:0], powers[:0]
-		epoch++
-		return err
-	}
-	for {
-		if err := r.Context().Err(); err != nil {
-			sess.Abort()
-			return // connection is gone; no response reaches the client
-		}
-		t0 := time.Now()
-		err := sc.ScanRecord(&raw)
-		t1 := time.Now()
-		tl.ScanNS += t1.Sub(t0).Nanoseconds()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			sess.Abort()
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if raw.P == nil {
-			sess.Abort()
-			http.Error(w, fmt.Sprintf("stream: record %d: training records need a power value \"p\"", sess.Rows()+len(rows)+1),
-				http.StatusBadRequest)
-			return
-		}
-		a := &arenas[epoch&1]
-		if len(rows) == 0 {
-			a.Reset()
-		}
-		k := len(rows) * len(sigs)
-		row, err := stream.DecodeRowArena(sigs, &raw, a, rowMem[k:k:k+len(sigs)])
-		tl.ParseNS += time.Since(t1).Nanoseconds()
-		if err != nil {
-			sess.Abort()
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		rows = append(rows, row)
-		powers = append(powers, *raw.P)
-		if len(rows) == batch {
-			if err := flush(); err != nil {
-				sess.Abort()
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		sess.Abort()
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	n := sess.Rows()
-	t0 := time.Now()
-	idx, err := sess.Close()
-	tl.JoinNS += time.Since(t0).Nanoseconds()
-	if err != nil {
-		s.log.Warn("session close failed", obs.KV("err", err.Error()))
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	tl.Trace = idx
-	span.SetAttr("trace", idx)
-	span.SetAttr("records", n)
-	writeJSON(w, http.StatusOK, ingestResult{Trace: idx, Records: n})
-}
-
-// handleTracesSharded is the sharded twin of the ingest loop: the
-// handler only frames raw NDJSON lines into batches and hands them to
-// the session's shard (shard.Session.AppendLines transfers buffer
-// ownership); the shard's reducer goroutine does the parse and the
-// atom-signature reduction off the request path. The optional
-// ?session= query parameter names the session for routing — uploads
-// sharing an id land on the same shard; absent, the coordinator
-// assigns one.
-func (s *Server) handleTracesSharded(w http.ResponseWriter, r *http.Request, begin time.Time, span *obs.Span, sc *stream.Scanner, sigs []trace.Signal) {
 	sess, err := s.co.Open(r.Context(), r.URL.Query().Get("session"), sigs)
 	if err != nil {
 		s.log.Warn("session rejected", obs.KV("err", err.Error()))
@@ -553,10 +363,16 @@ func (s *Server) handleTracesSharded(w http.ResponseWriter, r *http.Request, beg
 		return
 	}
 
-	// Same timeline discipline as the single-engine path, but parse and
-	// reduce run on the shard worker: the handler's wall time splits into
-	// scan (framing) and join (the Close round-trip, which rides behind
-	// everything queued for the shard).
+	// The session timeline attributes this upload's wall time to its
+	// stages: scan (framing) and join (the Close round-trip, which rides
+	// behind everything queued for the shard) on the handler, parse and
+	// reduce on the shard worker, reported with the close ack. The top-K
+	// slowest feed the /metrics and /v1/status slow-session tables.
+	// Aborted sessions keep Trace = -1. Recording rides the response
+	// commit (the same before-the-first-byte discipline as the SLO
+	// middleware), so a client holding its ack already finds its session
+	// in the tables; the defer covers sessions whose client vanished
+	// before a response.
 	tl := &sessionTimeline{Session: s.nextSession.Add(1), Trace: -1}
 	sw := &statusWriter{ResponseWriter: w, commit: func(int) {
 		tl.TotalNS = time.Since(begin).Nanoseconds()
@@ -627,17 +443,18 @@ func (s *Server) handleTracesSharded(w http.ResponseWriter, r *http.Request, beg
 	t0 := time.Now()
 	local, n, err := sess.Close(r.Context())
 	tl.JoinNS += time.Since(t0).Nanoseconds()
+	parse, reduce := sess.Timing()
+	tl.ParseNS, tl.ReduceNS = parse.Nanoseconds(), reduce.Nanoseconds()
 	if err != nil {
 		s.log.Warn("session close failed", obs.KV("err", err.Error()))
 		s.ingestError(w, err)
 		return
 	}
 	tl.Trace = local
-	shardIdx := sess.Shard()
 	span.SetAttr("trace", local)
 	span.SetAttr("records", n)
-	span.SetAttr("shard", shardIdx)
-	writeJSON(w, http.StatusOK, ingestResult{Trace: local, Records: n, Shard: &shardIdx})
+	span.SetAttr("shard", sess.Shard())
+	writeJSON(w, http.StatusOK, ingestResult{Trace: local, Records: n, Shard: sess.Shard()})
 }
 
 // handleModel exports the live model after the psmlint rule set clears
@@ -648,7 +465,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	m, err := s.snapshot(r.Context())
+	m, err := s.co.Snapshot(r.Context())
 	if err != nil {
 		code := http.StatusInternalServerError
 		if errors.Is(err, stream.ErrNoTraces) {
@@ -693,7 +510,7 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	ds, err := s.provenance(r.Context())
+	ds, err := s.co.Provenance(r.Context())
 	if err != nil {
 		code := http.StatusInternalServerError
 		if errors.Is(err, stream.ErrNoTraces) {
@@ -747,7 +564,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	m, err := s.snapshot(r.Context())
+	m, err := s.co.Snapshot(r.Context())
 	if err != nil {
 		code := http.StatusInternalServerError
 		if errors.Is(err, stream.ErrNoTraces) {
@@ -772,7 +589,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	sim := powersim.New(m, s.inputCols(), s.cfg.Sim)
+	sim := powersim.New(m, s.co.InputCols(), s.cfg.Sim)
 	var (
 		raw       stream.RawRecord
 		row       []logic.Vector

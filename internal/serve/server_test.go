@@ -333,7 +333,7 @@ func TestIngestErrors(t *testing.T) {
 		t.Fatalf("POST /v1/model: status %d, want 405", resp.StatusCode)
 	}
 
-	if m := srv.Engine().Metrics(); m.OpenSessions != 0 || m.TracesCompleted != 0 {
+	if m := srv.Metrics(); m.OpenSessions != 0 || m.TracesCompleted != 0 {
 		t.Fatalf("failed uploads leaked state: %+v", m)
 	}
 }
@@ -374,7 +374,7 @@ func TestDisconnectAbortsSession(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		m := srv.Engine().Metrics()
+		m := srv.Metrics()
 		if m.OpenSessions == 0 {
 			if m.TracesCompleted != 1 {
 				t.Fatalf("aborted upload completed a trace: %+v", m)
@@ -436,7 +436,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if _, err := pw.Write(full[:half]); err != nil {
 		t.Fatal(err)
 	}
-	for srv.Engine().Metrics().OpenSessions == 0 { // wait for the server to see it
+	for srv.Metrics().OpenSessions == 0 { // wait for the server to see it
 		time.Sleep(5 * time.Millisecond)
 	}
 
@@ -462,7 +462,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if err := <-shutdownDone; err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	m := srv.Engine().Metrics()
+	m := srv.Metrics()
 	if m.TracesCompleted != 1 || m.OpenSessions != 0 {
 		t.Fatalf("drain did not complete the session: %+v", m)
 	}

@@ -124,11 +124,10 @@ type statusDoc struct {
 	Join           statusWindow     `json:"join"`
 	Errors         statusErrors     `json:"errors"`
 	Engine         statusEngine     `json:"engine"`
-	// Shards carries the per-shard rows under sharded ingest: the Engine
-	// block then holds the fleet sums, and each row here attributes them
-	// to its shard engine together with the live queue depth and the
-	// load-shed count. Absent on the single-engine path.
-	Shards       []shard.ShardMetric `json:"shards,omitempty"`
+	// Shards carries the per-shard rows: the Engine block holds the
+	// fleet sums, and each row here attributes them to its shard engine
+	// together with the live queue depth and the load-shed count.
+	Shards       []shard.ShardMetric `json:"shards"`
 	SlowSessions []sessionTimeline   `json:"slow_sessions"`
 	Flight       statusFlight        `json:"flight"`
 }
@@ -145,7 +144,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m := s.Metrics()
-	reg := s.registry()
+	reg := s.co.Registry()
 	doc := statusDoc{
 		Ready:          true,
 		ModelAvailable: m.TracesCompleted > 0,
@@ -155,9 +154,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			ErrorRate:   s.cfg.SLO.ErrorRate,
 		},
 		Ingest: windowStatus(s.hIngestWin.Snapshot(), s.hIngestWin.WindowDuration(), s.cfg.SLO.IngestP99Ms),
-		// The engine's join window shares the default geometry (see
-		// stream.NewEngine); no p99 objective is configured for joins.
-		Join: windowStatus(s.joinWindow(), obs.DefaultWindowInterval*time.Duration(obs.DefaultWindowSlots), 0),
+		// The coordinator's join window has the default geometry (see
+		// shard.New); no p99 objective is configured for joins.
+		Join: windowStatus(s.co.JoinLatencyWindow(), obs.DefaultWindowInterval*time.Duration(obs.DefaultWindowSlots), 0),
 		Engine: statusEngine{
 			SessionsOpen:    m.OpenSessions,
 			TracesCompleted: m.TracesCompleted,
@@ -169,7 +168,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			DeltaSnapshots:  m.DeltaSnapshots,
 			QueueDepth:      reg.Gauge("pipeline_pool_queue_depth").Value(),
 		},
-		Shards:       s.ShardMetrics(),
+		Shards:       s.co.ShardMetrics(),
 		SlowSessions: s.slowSessions(),
 		Flight: statusFlight{
 			Capacity: s.flight.Capacity(),

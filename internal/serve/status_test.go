@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,11 +14,19 @@ import (
 )
 
 // TestStatusAfterTraffic drives uploads and a model read, then checks
-// the /v1/status document: readiness, sane quantiles, engine
-// watermarks, slow-session attribution, and SLO burn arithmetic.
+// the /v1/status document at one shard and at 2: readiness, sane
+// quantiles, engine watermarks, one row per shard, slow-session
+// attribution, and SLO burn arithmetic.
 func TestStatusAfterTraffic(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testStatusAfterTraffic(t, shards) })
+	}
+}
+
+func testStatusAfterTraffic(t *testing.T, shards int) {
 	cfg := DefaultConfig()
 	cfg.Stream.Inputs = []string{"op"}
+	cfg.Shards = shards
 	cfg.SLO = SLOConfig{IngestP99Ms: 60_000, ErrorRate: 0.5} // generous: traffic is healthy
 	srv := New(cfg)
 	ts := httptest.NewServer(srv.Handler())
@@ -64,12 +73,19 @@ func TestStatusAfterTraffic(t *testing.T) {
 	if doc.Errors.Requests != 3 || doc.Errors.Errors != 0 || doc.Errors.Burn != 0 {
 		t.Fatalf("error accounting: %+v, want 3 requests (2 uploads + model), 0 errors", doc.Errors)
 	}
+	if len(doc.Shards) != shards {
+		t.Fatalf("status carries %d shard rows, want %d", len(doc.Shards), shards)
+	}
 	if len(doc.SlowSessions) != 2 {
 		t.Fatalf("slow-session table holds %d rows, want 2", len(doc.SlowSessions))
 	}
+	// Scan and join run on the handler, parse and reduce on the shard
+	// worker meanwhile: each pair fits in the session's wall time, the
+	// sum of all four need not.
 	for _, tl := range doc.SlowSessions {
 		if tl.Records != 200 || tl.Trace < 0 || tl.TotalNS <= 0 ||
-			tl.ScanNS+tl.ParseNS+tl.ReduceNS+tl.JoinNS > tl.TotalNS {
+			tl.ScanNS+tl.JoinNS > tl.TotalNS || tl.ParseNS+tl.ReduceNS > tl.TotalNS ||
+			tl.ParseNS <= 0 || tl.ReduceNS <= 0 {
 			t.Fatalf("implausible timeline: %+v", tl)
 		}
 	}
@@ -261,5 +277,38 @@ func TestFlightDumpByteStable(t *testing.T) {
 	}
 	if _, err := obs.ReadFlight(bytes.NewReader(a)); err != nil {
 		t.Fatalf("dump unparseable: %v", err)
+	}
+}
+
+// TestInternalTracerKeepsNoRecords pins the memory of a server built
+// without cfg.Tracer: its internal tracer retains no span records —
+// nothing reads a summary from it — while the flight recorder and the
+// span window still see every span.
+func TestInternalTracerKeepsNoRecords(t *testing.T) {
+	srv := newTestServer()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for i := 0; i < 3; i++ {
+		resp := mustPost(t, ts.URL+"/v1/traces", genNDJSON(t, int64(900+i), 100, true))
+		if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
+			t.Fatalf("upload %d: %s", i, body)
+		}
+	}
+	readAll(t, mustGet(t, ts.URL+"/v1/model"))
+
+	if n := srv.tracer.Summary().Count; n != 0 {
+		t.Fatalf("internal tracer retained %d span records", n)
+	}
+	spans := 0
+	for _, e := range srv.flight.Snapshot() {
+		if e.Kind == "span" {
+			spans++
+		}
+	}
+	window := srv.co.Registry().Window("psmd_span_ms_window", nil, 0, 0).Snapshot().Count
+	// Three ingest spans, then the model read's snapshot, export_chains
+	// and collapse spans at least.
+	if spans < 6 || window != int64(spans) {
+		t.Fatalf("flight saw %d spans, span window %d; want the same count, at least 6", spans, window)
 	}
 }

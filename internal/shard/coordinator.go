@@ -24,8 +24,9 @@ type Config struct {
 	// Stream configures every shard engine identically. Stream.Registry
 	// is ignored: each shard gets a private registry (per-engine gauges
 	// must not collide), and the coordinator's own registry carries the
-	// fleet-level instruments. Stream.MaxOpenSessions is a PER-SHARD
-	// cap; the effective fleet cap is Shards times it.
+	// fleet-level instruments, the fleet's summed ingest counters among
+	// them. Stream.MaxOpenSessions is a PER-SHARD cap; the effective
+	// fleet cap is Shards times it.
 	Stream stream.Config
 	// QueueDepth bounds each shard's task queue in batches (not
 	// records); ≤ 0 selects 512. A full queue is the backpressure
@@ -95,7 +96,8 @@ var errClosed = errors.New("shard: coordinator closed")
 // scales ingest across cores. Snapshot joins the shards back into one
 // model that is byte-identical to a single engine fed the same sessions
 // in canonical order — shard-major: all of shard 0's sessions in their
-// completion order, then shard 1's, and so on.
+// completion order, then shard 1's, and so on — folding only the new
+// chains whenever they extend that order (see Snapshot).
 type Coordinator struct {
 	cfg    Config
 	ring   *ring
@@ -125,10 +127,15 @@ type Coordinator struct {
 	autoID     int64
 
 	// Snapshot state, serialized by snapMu: the cross-snapshot verdict
-	// memo and the last global kept atom set (the global epoch).
+	// memo, the last global kept atom set (the global epoch) and the
+	// persistent fold — one joiner over the global dictionary, plus what
+	// each shard has contributed to it so far (see Snapshot).
 	snapMu   sync.Mutex
 	memo     *psm.EvalMemo
 	lastKept []int
+	joiner   *psm.Joiner
+	gdict    *mining.Dictionary
+	folded   []foldedShard
 
 	stopc     chan struct{}
 	wg        sync.WaitGroup
@@ -190,6 +197,11 @@ func New(cfg Config) *Coordinator {
 		c.wg.Add(1)
 		go func() { defer c.wg.Done(); sh.run() }()
 	}
+	// The ingest counters live in the shard engines' private registries;
+	// the fleet registry reads their sums at export time.
+	reg.CounterFunc("psmd_records_ingested_total", func() int64 { return c.ingest().RecordsIngested })
+	reg.CounterFunc("psmd_traces_completed_total", func() int64 { return int64(c.ingest().TracesCompleted) })
+	reg.GaugeFunc("psmd_sessions_open", func() float64 { return float64(c.ingest().OpenSessions) })
 	return c
 }
 
@@ -214,13 +226,6 @@ func (c *Coordinator) Registry() *obs.Registry { return c.reg }
 // over the most recent sliding window (the /v1/status feed).
 func (c *Coordinator) JoinLatencyWindow() obs.HistogramSnapshot { return c.hJoinWin.Snapshot() }
 
-// Schema returns the pinned global schema (nil before the first Open).
-func (c *Coordinator) Schema() []trace.Signal {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.schema
-}
-
 // InputCols returns the primary-input column indices.
 func (c *Coordinator) InputCols() []int {
 	c.mu.Lock()
@@ -234,13 +239,13 @@ func (c *Coordinator) ShardOf(id string) int { return c.ring.shardOf(id) }
 // Session is one open trace being streamed through the coordinator.
 // Like stream.Session it is single-producer. Appends are asynchronous:
 // they enqueue onto the session's shard and are applied by the shard
-// worker, so a validation failure surfaces on a later call or at Close
-// (Err reports the first deferred failure early).
+// worker, so a validation failure surfaces on a later call or at Close.
 type Session struct {
 	c  *Coordinator
 	sh *shard
-	id string
 	ws *wsession
+
+	parse, reduce time.Duration // worker time, set by Close
 }
 
 // Open routes a session to its shard by consistent hash on id (an
@@ -295,40 +300,21 @@ func (c *Coordinator) Open(ctx context.Context, id string, sigs []trace.Signal) 
 	case <-c.stopc:
 		return nil, errClosed
 	}
-	return &Session{c: c, sh: sh, id: id, ws: ws}, nil
+	return &Session{c: c, sh: sh, ws: ws}, nil
 }
-
-// ID returns the session's (possibly auto-assigned) id.
-func (s *Session) ID() string { return s.id }
 
 // Shard returns the shard index the session routed to.
 func (s *Session) Shard() int { return s.sh.idx }
 
-// Err reports the first deferred failure of this session's asynchronous
-// appends (nil while healthy). After a failure the shard has already
-// aborted the underlying engine session; the producer should stop
-// streaming and surface the error.
-func (s *Session) Err() error { return s.ws.failure() }
-
-// AppendRows hands a decoded batch to the shard worker. Ownership of
-// rows and powers transfers to the coordinator: the caller must not
-// reuse them (the engine retains the batch's last row as input-HD
-// history, see stream.Session.AppendBatch). Blocks at most the enqueue
-// timeout when the shard is saturated, then sheds with SaturatedError.
-func (s *Session) AppendRows(rows [][]logic.Vector, powers []float64) error {
-	if err := s.ws.failure(); err != nil {
-		return err
-	}
-	return s.sh.enqueue(task{kind: taskRows, ws: s.ws, rows: rows, pows: powers}, s.c.cfg.enqueueTimeout())
-}
-
 // AppendLines hands framed NDJSON record lines to the shard worker,
-// which parses them there (stream.LineParser + DecodeRowArena) — the
-// sharded hot path: the HTTP handler only frames and copies lines, the
+// which parses them there (stream.LineParser + DecodeRowArena) — psmd's
+// ingest path: the HTTP handler only frames and copies lines, the
 // per-shard worker pays the parse and the reduction. buf must hold
 // exactly records newline-terminated record lines and ownership
 // transfers; firstLine is the 1-based position of buf's first line in
-// the upload (error-text accounting, the header is line 1).
+// the upload (error-text accounting, the header is line 1). Blocks at
+// most the enqueue timeout when the shard is saturated, then sheds with
+// SaturatedError.
 func (s *Session) AppendLines(buf []byte, records, firstLine int) error {
 	if err := s.ws.failure(); err != nil {
 		return err
@@ -346,6 +332,7 @@ func (s *Session) Close(ctx context.Context) (traceIdx, rows int, err error) {
 	}
 	select {
 	case a := <-res:
+		s.parse, s.reduce = a.parse, a.reduce
 		return a.trace, a.rows, a.err
 	case <-ctx.Done():
 		return 0, 0, ctx.Err()
@@ -353,6 +340,11 @@ func (s *Session) Close(ctx context.Context) (traceIdx, rows int, err error) {
 		return 0, 0, errClosed
 	}
 }
+
+// Timing returns the worker time the session's records cost: parsing
+// the framed lines and reducing them into the shard engine. It is zero
+// until Close has returned.
+func (s *Session) Timing() (parse, reduce time.Duration) { return s.parse, s.reduce }
 
 // Abort discards the session (client disconnect mid-upload): nothing it
 // streamed reaches the model. The abort is queued behind any in-flight
@@ -390,19 +382,19 @@ type taskKind int
 
 const (
 	taskOpen taskKind = iota
-	taskRows
 	taskLines
 	taskClose
 	taskAbort
 	taskFlush
-	taskHold
 )
 
-// closeAck is the worker's reply to a taskClose.
+// closeAck is the worker's reply to a taskClose, with the session's
+// summed worker time.
 type closeAck struct {
-	trace int
-	rows  int
-	err   error
+	trace         int
+	rows          int
+	parse, reduce time.Duration
+	err           error
 }
 
 // task is one shard-queue message. Appends carry their payload by
@@ -410,16 +402,12 @@ type closeAck struct {
 type task struct {
 	kind      taskKind
 	ws        *wsession
-	sigs      []trace.Signal   // taskOpen
-	rows      [][]logic.Vector // taskRows
-	pows      []float64        // taskRows
-	lines     []byte           // taskLines: newline-terminated record lines
-	nlines    int              // taskLines: record count in lines
-	firstLine int              // taskLines: 1-based upload line of lines[0]
-	ack       chan error       // taskOpen (buffered), taskFlush (closed)
-	res       chan closeAck    // taskClose (buffered)
-	held      chan struct{}    // taskHold: closed once the worker is parked
-	release   chan struct{}    // taskHold: worker resumes when closed
+	sigs      []trace.Signal // taskOpen
+	lines     []byte         // taskLines: newline-terminated record lines
+	nlines    int            // taskLines: record count in lines
+	firstLine int            // taskLines: 1-based upload line of lines[0]
+	ack       chan error     // taskOpen (buffered), taskFlush (closed)
+	res       chan closeAck  // taskClose (buffered)
 }
 
 // wsession is the worker-side state of one session. The worker owns
@@ -435,6 +423,8 @@ type wsession struct {
 	raw    stream.RawRecord
 	parser stream.LineParser
 	dead   bool // worker-only: aborted/closed, later tasks are dropped
+	// parse and reduce sum the worker time of the session's batches.
+	parse, reduce time.Duration
 
 	mu  sync.Mutex
 	err error
@@ -493,7 +483,7 @@ func (sh *shard) enqueue(t task, timeout time.Duration) error {
 }
 
 // enqueueBlocking queues a control message that must not be shed
-// (close, abort, flush, hold): it waits for a slot however long that
+// (close, abort, flush): it waits for a slot however long that
 // takes — the worker is always draining — and fails only when the
 // coordinator is shutting down.
 func (sh *shard) enqueueBlocking(t task) error {
@@ -539,13 +529,6 @@ func (sh *shard) handle(t task) {
 			t.ws.sess = ss
 		}
 		t.ack <- err
-	case taskRows:
-		if t.ws.dead {
-			return
-		}
-		if err := t.ws.sess.AppendBatch(t.rows, t.pows); err != nil {
-			t.ws.kill(err)
-		}
 	case taskLines:
 		sh.handleLines(t)
 	case taskClose:
@@ -555,7 +538,7 @@ func (sh *shard) handle(t task) {
 			if err == nil {
 				err = fmt.Errorf("stream: session closed twice")
 			}
-			t.res <- closeAck{err: err}
+			t.res <- closeAck{parse: ws.parse, reduce: ws.reduce, err: err}
 			return
 		}
 		rows := ws.sess.Rows()
@@ -564,7 +547,7 @@ func (sh *shard) handle(t task) {
 		if err != nil {
 			ws.fail(err)
 		}
-		t.res <- closeAck{trace: idx, rows: rows, err: err}
+		t.res <- closeAck{trace: idx, rows: rows, parse: ws.parse, reduce: ws.reduce, err: err}
 	case taskAbort:
 		if !t.ws.dead && t.ws.sess != nil {
 			t.ws.sess.Abort()
@@ -572,23 +555,19 @@ func (sh *shard) handle(t task) {
 		t.ws.dead = true
 	case taskFlush:
 		close(t.ack)
-	case taskHold:
-		// Park until released: the snapshot path holds every shard to
-		// read a consistent per-shard cut (stats + chains + series).
-		close(t.held)
-		<-t.release
 	}
 }
 
 // handleLines parses one framed line batch into the session's arenas
-// and reduces it in a single AppendBatch — the serve.handleTraces hot
-// path, relocated onto the shard worker so N shards parse and reduce
-// on N cores while the HTTP handlers only frame bytes.
+// and reduces it in a single AppendBatch, on the shard worker, so N
+// shards parse and reduce on N cores while the HTTP handlers only frame
+// bytes. The parse and reduce time add up on the session.
 func (sh *shard) handleLines(t task) {
 	ws := t.ws
 	if ws.dead {
 		return
 	}
+	t0 := time.Now()
 	// Two alternating arenas: the engine references the previous batch's
 	// last row until this batch lands, so this batch must decode into
 	// the arena the batch before last used, never the immediately
@@ -638,7 +617,10 @@ func (sh *shard) handleLines(t task) {
 	if len(ws.rows) == 0 {
 		return
 	}
-	if err := ws.sess.AppendBatch(ws.rows, ws.pows); err != nil {
+	t1 := time.Now()
+	err := ws.sess.AppendBatch(ws.rows, ws.pows)
+	ws.parse, ws.reduce = ws.parse+t1.Sub(t0), ws.reduce+time.Since(t1)
+	if err != nil {
 		ws.kill(err)
 	}
 }

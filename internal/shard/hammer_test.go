@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"psmkit/internal/logic"
 	"psmkit/internal/shard"
 	"psmkit/internal/stream"
 )
@@ -21,7 +20,7 @@ import (
 // sessions, aborted sessions invisible, and the final model
 // byte-identical to the batch flow over the completed sessions in
 // canonical shard-major order. Under `make race` this is the data-race
-// hammer for the queue/hold-barrier/snapshot interleaving.
+// hammer for the queue/cut/snapshot interleaving.
 func TestCoordinatorHammer(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	c := genParityCase(rng)
@@ -87,7 +86,7 @@ func TestCoordinatorHammer(t *testing.T) {
 						aborted = true
 						break
 					}
-					if err := s.AppendRows([][]logic.Vector{c.fts[i].Row(r)}, []float64{c.pws[i].Values[r]}); err != nil {
+					if err := appendRecord(s, c.fts[i].Row(r), c.pws[i].Values[r], 2+r); err != nil {
 						t.Error(err)
 						s.Abort()
 						aborted = true

@@ -3,14 +3,15 @@ package shard_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 
 	"psmkit/internal/logic"
 	"psmkit/internal/mining"
+	"psmkit/internal/obs"
 	"psmkit/internal/pipeline"
 	"psmkit/internal/psm"
 	"psmkit/internal/shard"
@@ -100,6 +101,21 @@ func batchModel(c parityCase, traces []int) (*psm.Model, error) {
 	return pipeline.BuildModel(context.Background(), fts, pws, c.cols, cfg)
 }
 
+// appendRecord frames one record as an NDJSON line and hands it to the
+// session's shard — the AppendLines path psmd runs. line is the
+// record's 1-based line in the upload (the header is line 1).
+func appendRecord(s *shard.Session, row []logic.Vector, power float64, line int) error {
+	var buf bytes.Buffer
+	enc := stream.NewEncoder(&buf)
+	if err := enc.WriteRow(row, power); err != nil {
+		return err
+	}
+	if err := enc.Flush(); err != nil {
+		return err
+	}
+	return s.AppendLines(buf.Bytes(), 1, line)
+}
+
 func exports(t testing.TB, m *psm.Model) (string, string) {
 	t.Helper()
 	var dot, js bytes.Buffer
@@ -153,7 +169,7 @@ func interleave(t testing.TB, co *shard.Coordinator, c parityCase, rng *rand.Ran
 		k := pick(rng, open)
 		i := open[k]
 		r := next[i]
-		if err := sessions[i].AppendRows([][]logic.Vector{c.fts[i].Row(r)}, []float64{c.pws[i].Values[r]}); err != nil {
+		if err := appendRecord(sessions[i], c.fts[i].Row(r), c.pws[i].Values[r], 2+r); err != nil {
 			t.Fatalf("append trace %d record %d: %v", i, r, err)
 		}
 		next[i]++
@@ -290,7 +306,7 @@ func TestCrossShardSnapshotAfterEveryTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 		for r := 0; r < c.fts[i].Len(); r++ {
-			if err := s.AppendRows([][]logic.Vector{c.fts[i].Row(r)}, []float64{c.pws[i].Values[r]}); err != nil {
+			if err := appendRecord(s, c.fts[i].Row(r), c.pws[i].Values[r], 2+r); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -328,74 +344,22 @@ func TestCrossShardSnapshotAfterEveryTrace(t *testing.T) {
 	}
 }
 
-// TestCrossShardProvenanceMatchesSingleEngine pins the audit trail: the
-// coordinator's provenance replay must record exactly the decision
-// sequence a single engine fed the canonical session order records.
-func TestCrossShardProvenanceMatchesSingleEngine(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	c := genParityCase(rng)
-	ctx := context.Background()
-	for _, n := range shardCounts {
-		co := newCoordinator(c, n, 2)
-		order := interleave(t, co, c, rng, func(rng *rand.Rand, open []int) int { return rng.Intn(len(open)) })
-
-		mcfg, merge, cal := flowPolicies()
-		eng := stream.NewEngine(stream.Config{
-			Workers: 2, Mining: mcfg, Merge: merge, Calibration: cal, Inputs: c.inputs,
-		})
-		for _, i := range order {
-			s, err := eng.Open(c.fts[i].Signals)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for r := 0; r < c.fts[i].Len(); r++ {
-				if err := s.AppendBatch([][]logic.Vector{c.fts[i].Row(r)}, c.pws[i].Values[r:r+1]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		got, gotErr := co.Provenance(ctx)
-		want, wantErr := eng.Provenance(ctx)
-		if (gotErr != nil) != (wantErr != nil) {
-			t.Fatalf("shards %d: shard err %v, engine err %v", n, gotErr, wantErr)
-		}
-		if gotErr == nil {
-			if len(got) == 0 {
-				t.Fatalf("shards %d: empty provenance log", n)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards %d: provenance decision sequences differ (%d vs %d decisions)",
-					n, len(got), len(want))
-			}
-		}
-		co.Close()
-	}
-}
-
 // TestCrossShardLinesPathMatchesRows pins the worker-side NDJSON parse:
-// streaming framed record lines (the serve hot path) must produce the
-// same model bytes as streaming decoded rows.
+// streaming framed record lines in irregular chunks through a 4-shard
+// coordinator (the psmd ingest path) must produce the same model bytes
+// as one engine fed the decoded rows in canonical order.
 func TestCrossShardLinesPathMatchesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	c := genParityCase(rng)
 	ctx := context.Background()
 
-	viaRows := newCoordinator(c, 4, 2)
-	defer viaRows.Close()
 	viaLines := newCoordinator(c, 4, 2)
 	defer viaLines.Close()
 
+	type done struct{ shardIdx, local, traceIdx int }
+	var closed []done
 	for i := range c.fts {
-		id := fmt.Sprintf("trace-%d", i)
-		sr, err := viaRows.Open(ctx, id, c.fts[i].Signals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sl, err := viaLines.Open(ctx, id, c.fts[i].Signals)
+		sl, err := viaLines.Open(ctx, fmt.Sprintf("trace-%d", i), c.fts[i].Signals)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -403,9 +367,6 @@ func TestCrossShardLinesPathMatchesRows(t *testing.T) {
 		records := 0
 		for r := 0; r < c.fts[i].Len(); r++ {
 			row := c.fts[i].Row(r)
-			if err := sr.AppendRows([][]logic.Vector{row}, []float64{c.pws[i].Values[r]}); err != nil {
-				t.Fatal(err)
-			}
 			buf.WriteString(`{"v":[`)
 			for j, v := range row {
 				if j > 0 {
@@ -431,10 +392,37 @@ func TestCrossShardLinesPathMatchesRows(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, _, err := sr.Close(ctx); err != nil {
+		local, _, err := sl.Close(ctx)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := sl.Close(ctx); err != nil {
+		closed = append(closed, done{sl.Shard(), local, i})
+	}
+	sort.Slice(closed, func(a, b int) bool {
+		if closed[a].shardIdx != closed[b].shardIdx {
+			return closed[a].shardIdx < closed[b].shardIdx
+		}
+		return closed[a].local < closed[b].local
+	})
+
+	mcfg, merge, cal := flowPolicies()
+	viaRows := stream.NewEngine(stream.Config{
+		Workers: 2, Mining: mcfg, Merge: merge, Calibration: cal, Inputs: c.inputs,
+	})
+	for _, d := range closed {
+		ft, n := c.fts[d.traceIdx], c.fts[d.traceIdx].Len()
+		s, err := viaRows.Open(ft.Signals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([][]logic.Vector, n)
+		for r := range rows {
+			rows[r] = ft.Row(r)
+		}
+		if err := s.AppendBatch(rows, c.pws[d.traceIdx].Values[:n]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -452,4 +440,92 @@ func TestCrossShardLinesPathMatchesRows(t *testing.T) {
 	if ad != bd || aj != bj {
 		t.Fatal("lines-path model differs from rows-path model")
 	}
+}
+
+// TestPersistentFoldSchedule pins the persistent cross-shard fold on a
+// 2-shard schedule whose closes go to shard 1, shard 1, then shard 0,
+// with a snapshot after each. The second snapshot extends the fold
+// (delta: shard 1 is the last shard folded, nothing before it grew);
+// the third must start over (fresh: shard 0 gained a chain that
+// precedes shard 1's in the shard-major order). Every snapshot must
+// byte-equal pipeline.BuildModel over the shard-major prefix.
+func TestPersistentFoldSchedule(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	c := genParityCase(rng)
+	for len(c.fts) < 3 {
+		c = genParityCase(rng)
+	}
+	co := newCoordinator(c, 2, 2)
+	defer co.Close()
+	ctx := context.Background()
+
+	idOn := func(shardIdx int, taken map[string]bool) string {
+		for k := 0; ; k++ {
+			if id := fmt.Sprintf("s-%d", k); !taken[id] && co.ShardOf(id) == shardIdx {
+				taken[id] = true
+				return id
+			}
+		}
+	}
+	taken := map[string]bool{}
+	schedule := []struct{ shard, trace int }{{1, 0}, {1, 1}, {0, 2}}
+	wantFold := []string{"fresh", "delta", "fresh"}
+	var closed [2][]int // per shard: trace numbers in completion order
+	for step, sc := range schedule {
+		s, err := co.Open(ctx, idOn(sc.shard, taken), c.fts[sc.trace].Signals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Shard() != sc.shard {
+			t.Fatalf("step %d: session routed to shard %d, want %d", step, s.Shard(), sc.shard)
+		}
+		for r := 0; r < c.fts[sc.trace].Len(); r++ {
+			if err := appendRecord(s, c.fts[sc.trace].Row(r), c.pws[sc.trace].Values[r], 2+r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := s.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		closed[sc.shard] = append(closed[sc.shard], sc.trace)
+
+		var events bytes.Buffer
+		live, err := co.Snapshot(obs.WithTracer(ctx, obs.NewTracer(&events)))
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if fold := snapshotAttr(t, events.Bytes(), "fold"); fold != wantFold[step] {
+			t.Fatalf("step %d: snapshot took the %v fold, want %s", step, fold, wantFold[step])
+		}
+		order := append(append([]int(nil), closed[0]...), closed[1]...)
+		batch, err := batchModel(c, order)
+		if err != nil {
+			t.Fatalf("step %d: batch: %v", step, err)
+		}
+		ld, lj := exports(t, live)
+		bd, bj := exports(t, batch)
+		if ld != bd || lj != bj {
+			t.Fatalf("step %d order %v: snapshot differs from batch", step, order)
+		}
+	}
+}
+
+// snapshotAttr returns one attribute of the "snapshot" span in an NDJSON
+// span-event stream.
+func snapshotAttr(t *testing.T, events []byte, key string) interface{} {
+	t.Helper()
+	for _, line := range bytes.Split(bytes.TrimSpace(events), []byte("\n")) {
+		var ev struct {
+			Name  string                 `json:"name"`
+			Attrs map[string]interface{} `json:"attrs"`
+		}
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Name == "snapshot" {
+			return ev.Attrs[key]
+		}
+	}
+	t.Fatal("no snapshot span")
+	return nil
 }

@@ -1,13 +1,16 @@
-// Package shard runs several stream.Engines as one logical psmd: a
-// coordinator partitions inbound sessions across N shards by consistent
-// hash on the session id, each shard reduces its sessions on a
-// dedicated worker behind a bounded queue (backpressure instead of
-// unbounded buffering), and a cross-shard snapshot re-interns the shard
-// dictionaries into one canonical global dictionary and folds the
-// shards' chains through psm.Joiner, the batch flow's join engine — so
-// the served model is byte-identical to a single engine over the same
-// sessions in canonical order, for any shard count and any
-// interleaving (pinned by the cross-shard parity suite).
+// Package shard runs one or more stream.Engines as one logical psmd —
+// every psmd serves through a Coordinator, a one-shard one by default.
+// The coordinator partitions inbound sessions across N shards by
+// consistent hash on the session id; each shard parses and reduces its
+// sessions on a dedicated worker behind a bounded queue (backpressure
+// instead of unbounded buffering); and the snapshot re-interns the
+// shard dictionaries into one canonical global dictionary and folds the
+// shards' chains through a persistent psm.Joiner, the batch flow's join
+// engine, folding only the chains that are new since the last snapshot
+// whenever the canonical order allows it. The served model is
+// byte-identical to a single engine over the same sessions in canonical
+// shard-major order, for any shard count and any interleaving (pinned
+// by the cross-shard parity suite).
 package shard
 
 import (

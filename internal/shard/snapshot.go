@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"psmkit/internal/mining"
@@ -12,72 +11,34 @@ import (
 	"psmkit/internal/stream"
 )
 
-// holdAll parks every shard worker at a barrier: a hold task is queued
-// behind whatever each shard already has, and once a worker reaches it
-// the shard's queue prefix is fully applied and the worker touches its
-// engine no further until released. The returned release is idempotent
-// and must always be called. Holding all shards gives the snapshot a
-// consistent per-shard cut — each shard's statistics, chains and
-// calibration series describe exactly the same completed-session
-// prefix. (Cross-shard skew is harmless: any union of per-shard
-// prefixes is a valid session set, and the model is pinned to equal a
-// single engine over precisely that set.)
-func (c *Coordinator) holdAll(ctx context.Context) (release func(), err error) {
-	helds := make([]chan struct{}, len(c.shards))
-	releases := make([]chan struct{}, len(c.shards))
-	var once sync.Once
-	release = func() {
-		once.Do(func() {
-			for _, r := range releases {
-				if r != nil {
-					close(r)
-				}
-			}
-		})
-	}
-	for i, sh := range c.shards {
-		helds[i] = make(chan struct{})
-		releases[i] = make(chan struct{})
-		if err := sh.enqueueBlocking(task{kind: taskHold, held: helds[i], release: releases[i]}); err != nil {
-			releases[i] = nil // never queued: nothing will wait on it
-			release()
-			return nil, err
-		}
-	}
-	for i := range helds {
-		select {
-		case <-helds[i]:
-		case <-ctx.Done():
-			release()
-			return nil, ctx.Err()
-		case <-c.stopc:
-			release()
-			return nil, errClosed
-		}
-	}
-	return release, nil
-}
-
-// globalCut is the fleet-wide mining evidence read under a hold.
+// globalCut is the fleet-wide mining evidence of one cut: the summed
+// statistics and row count, and each shard's completed-session count
+// they cover (exported back to the shard, so its chains describe the
+// same sessions).
 type globalCut struct {
 	stats  []mining.AtomStats
 	rows   int
 	traces int
+	counts []int
 }
 
 // miningCut sums the shards' mining statistics. AtomStats fields are
 // exact integer counts, so the sum equals a single engine's statistics
 // over the union of the shards' sessions — the global kept-set decision
-// is exactly the one engine's. Caller holds the shards.
+// is exactly the one engine's. Each shard's statistics and count are
+// read together; cross-shard skew is harmless, since any union of
+// per-shard prefixes is a valid session set, and the model is pinned to
+// equal a single engine over precisely that set.
 func (c *Coordinator) miningCut(candidates []mining.Atom) globalCut {
-	cut := globalCut{stats: make([]mining.AtomStats, len(candidates))}
-	for _, sh := range c.shards {
+	cut := globalCut{stats: make([]mining.AtomStats, len(candidates)), counts: make([]int, len(c.shards))}
+	for i, sh := range c.shards {
 		st, rows, traces := sh.eng.MiningStats()
 		if len(st) > 0 {
 			mining.MergeStats(cut.stats, st)
 		}
 		cut.rows += rows
 		cut.traces += traces
+		cut.counts[i] = traces
 	}
 	return cut
 }
@@ -87,13 +48,24 @@ func (c *Coordinator) miningCut(candidates []mining.Atom) globalCut {
 // sessions in canonical order — shard-major, each shard's sessions in
 // its completion order — for any shard count and any interleaving.
 //
-// The cut is taken under a fleet-wide hold (statistics and chains of
-// one consistent per-shard prefix); the hold is released before the
-// expensive join, which runs on immutable exports. Each snapshot folds
-// the remapped chains through a fresh psm.Joiner that shares one
-// cross-snapshot verdict memo, reset whenever the globally-selected
-// kept atom set moves (a global epoch boundary, mirroring
-// psm.Joiner.Reset).
+// The cut reads each shard's statistics with its completed-session
+// count, and each shard then exports the chains of exactly that prefix,
+// so ingest never stops for a snapshot; the join runs on immutable
+// exports.
+//
+// The join is a persistent fold: one psm.Joiner over one global
+// dictionary, kept across snapshots together with, per shard, the
+// chains and proposition keys already folded. The folded sequence is a
+// prefix of the canonical one as long as the kept atom set has not
+// moved and no shard before the last shard already folded has gained a
+// chain; the snapshot then interns only the new shard-local keys and
+// remaps and folds only the new chains — psm.Joiner's left fold makes
+// that equal to folding everything. Otherwise it starts a fresh fold
+// over every chain, sharing the cross-snapshot verdict memo
+// (psm.NewJoinerMemo), which resets whenever the globally-selected kept
+// atom set moves (a global epoch boundary, mirroring psm.Joiner.Reset).
+// At one shard every snapshot under an unchanged kept set folds only
+// the new chains.
 func (c *Coordinator) Snapshot(ctx context.Context) (*psm.Model, error) {
 	//psmlint:ignore nondet-source join-latency metric only; never reaches the model
 	start := time.Now()
@@ -124,12 +96,6 @@ func (c *Coordinator) Snapshot(ctx context.Context) (*psm.Model, error) {
 		return nil, fmt.Errorf("shard: %w", stream.ErrNoTraces)
 	}
 
-	release, err := c.holdAll(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-
 	cut := c.miningCut(candidates)
 	if cut.traces == 0 {
 		return nil, fmt.Errorf("shard: %w", stream.ErrNoTraces)
@@ -141,69 +107,68 @@ func (c *Coordinator) Snapshot(ctx context.Context) (*psm.Model, error) {
 	}
 
 	// Global epoch accounting: a moved kept set voids every shard's
-	// chains (they rebuild inside ExportChains) and every memoized
-	// verdict (different propositions, same moments would be a lie —
-	// see psm.Joiner.Reset for the same boundary in the fold engine).
+	// chains (they rebuild inside ExportChains), the fold, and every
+	// memoized verdict (different propositions, same moments would be a
+	// lie — see psm.Joiner.Reset for the same boundary in the fold
+	// engine).
 	rebuild := !equalInts(idx, c.lastKept)
 	if rebuild {
 		c.lastKept = append([]int(nil), idx...)
 		c.memo.Reset()
+		c.joiner = nil
 		span.SetAttr("rebuild", true)
 	}
 
 	exps := make([]stream.ShardExport, len(c.shards))
 	for i, sh := range c.shards {
-		if exps[i], err = sh.eng.ExportChains(ctx, idx); err != nil {
+		var err error
+		if exps[i], err = sh.eng.ExportChains(ctx, idx, cut.counts[i]); err != nil {
 			return nil, err
 		}
 	}
-	// The exports are immutable copies/shared-immutable storage: the
-	// expensive dictionary merge and join below run with the fleet
-	// already ingesting again.
-	release()
 
-	kept := make([]mining.Atom, len(idx))
-	for i, ci := range idx {
-		kept[i] = candidates[ci]
+	if c.joiner == nil || !c.extendsFold(exps) {
+		kept := make([]mining.Atom, len(idx))
+		for i, ci := range idx {
+			kept[i] = candidates[ci]
+		}
+		c.gdict = mining.NewDictionary(schema, kept)
+		c.joiner = psm.NewJoinerMemo(c.memo)
+		c.folded = make([]foldedShard, len(c.shards))
+		span.SetAttr("fold", "fresh")
+	} else {
+		span.SetAttr("fold", "delta")
 	}
-	gdict := mining.NewDictionary(schema, kept)
 
-	// Canonical re-intern: shards in index order, each shard's local
-	// proposition ids in order. A shard dictionary's id order is the
-	// first-appearance order over that shard's sessions, so this global
-	// intern sequence is exactly the single engine's over the canonical
-	// session order — ids match byte for byte.
-	total := 0
-	for _, exp := range exps {
-		total += exp.Traces
-	}
-	chains := make([]*psm.Chain, 0, total)
+	// Canonical re-intern and fold: shards in index order, each shard's
+	// new local proposition ids in order, then its new chains. A shard
+	// dictionary's id order is the first-appearance order over that
+	// shard's sessions, so this global intern sequence is exactly the
+	// single engine's over the canonical session order — ids match byte
+	// for byte.
 	base := 0
-	for _, exp := range exps {
-		props := make([]int, len(exp.PropKeys))
-		for j, key := range exp.PropKeys {
-			props[j] = gdict.Intern(key)
+	for i, exp := range exps {
+		f := &c.folded[i]
+		for _, key := range exp.PropKeys[len(f.props):] {
+			f.props = append(f.props, c.gdict.Intern(key))
 		}
-		for j, ch := range exp.Chains {
-			chains = append(chains, remapChain(ch, gdict, props, base+j))
+		for j := f.chains; j < exp.Traces; j++ {
+			c.joiner.Add(ctx, remapChain(exp.Chains[j], c.gdict, f.props, base+j))
 		}
+		f.chains = exp.Traces
 		base += exp.Traces
 	}
 
-	j := psm.NewJoinerMemo(c.memo)
-	for _, ch := range chains {
-		j.Add(ctx, ch)
-	}
-	pooled := j.Pooled()
-	snap := j.Snapshot(ctx)
+	pooled := c.joiner.Pooled()
+	snap := c.joiner.Snapshot(ctx)
 	if !c.cfg.Stream.SkipCalibration {
 		// The shard chains carry their calibration sums (remapChain keeps
 		// them), so the served states fit without any stored series.
 		psm.CalibrateCtx(ctx, snap, nil, nil, nil, c.cfg.Stream.Calibration)
 	}
-	// gdict is private to this snapshot (chains are discarded), so the
-	// served model can own it directly; EvalRow readers never race.
-	snap.Dict = gdict
+	// The global dictionary keeps growing with later snapshots: freeze a
+	// private copy so the served model's EvalRow readers never race them.
+	snap.Dict = mining.FromSnapshot(c.gdict.Snapshot())
 
 	c.mSnapshots.Inc()
 	if rebuild {
@@ -217,12 +182,39 @@ func (c *Coordinator) Snapshot(ctx context.Context) (*psm.Model, error) {
 	return snap, nil
 }
 
+// foldedShard is one shard's contribution to the persistent fold.
+type foldedShard struct {
+	props  []int // shard-local proposition id → global id
+	chains int   // chains folded, in the shard's completion order
+}
+
+// extendsFold reports whether the exports extend the persistent fold in
+// canonical order: every shard before the last shard already folded
+// still has exactly the chains and proposition keys it had, so what was
+// folded is a prefix of the shard-major sequence. (The kept set is
+// checked by the caller; later shards may have grown.)
+func (c *Coordinator) extendsFold(exps []stream.ShardExport) bool {
+	last := -1
+	for i, f := range c.folded {
+		if f.chains > 0 {
+			last = i
+		}
+	}
+	for i := 0; i < last; i++ {
+		if exps[i].Traces != c.folded[i].chains || len(exps[i].PropKeys) != len(c.folded[i].props) {
+			return false
+		}
+	}
+	return true
+}
+
 // Provenance re-derives every mergeability decision of the fleet's
-// current model, exactly as a single engine over the canonical session
-// order would (see Engine.Provenance): fresh global dictionary, chain
-// replays shard by shard in index order with canonical trace indices,
-// one psm.JoinCtx over every chain. The hold lasts through the replay —
-// the kept set and the replayed sessions must be one cut.
+// current model — the audit trail behind GET /v1/provenance — exactly
+// as the batch flow over the canonical session order would: fresh
+// global dictionary, chain replays shard by shard in index order with
+// canonical trace indices, one psm.JoinCtx over every chain. The replay
+// covers exactly the sessions of the cut the kept set was selected on,
+// and never touches the epoch caches or the persistent fold.
 func (c *Coordinator) Provenance(ctx context.Context) ([]obs.MergeDecision, error) {
 	ctx, span := obs.Start(ctx, "provenance", obs.KV("shards", len(c.shards)))
 	defer span.End()
@@ -235,12 +227,6 @@ func (c *Coordinator) Provenance(ctx context.Context) ([]obs.MergeDecision, erro
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("shard: %w", stream.ErrNoTraces)
 	}
-
-	release, err := c.holdAll(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
 
 	cut := c.miningCut(candidates)
 	if cut.traces == 0 {
@@ -261,8 +247,8 @@ func (c *Coordinator) Provenance(ctx context.Context) ([]obs.MergeDecision, erro
 	ctx = obs.WithProvenance(ctx, log)
 	var chains []*psm.Chain
 	base := 0
-	for _, sh := range c.shards {
-		cs, err := sh.eng.ProvenanceChains(ctx, idx, dict, base)
+	for i, sh := range c.shards {
+		cs, err := sh.eng.ProvenanceChains(ctx, idx, dict, base, cut.counts[i])
 		if err != nil {
 			return nil, err
 		}
@@ -343,12 +329,9 @@ func (c *Coordinator) ShardMetrics() []ShardMetric {
 	return rows
 }
 
-// Metrics aggregates the fleet into one stream.Metrics: ingest counters
-// sum across shards; the snapshot accounting (snapshots, rebuilds,
-// states pooled/served, join latency) is the coordinator's own — it
-// describes the global cross-shard join, the only join that runs under
-// a coordinator.
-func (c *Coordinator) Metrics() stream.Metrics {
+// ingest sums the shard engines' ingest counters (records ingested,
+// open sessions, traces completed); the other fields stay zero.
+func (c *Coordinator) ingest() stream.Metrics {
 	var m stream.Metrics
 	for _, sh := range c.shards {
 		em := sh.eng.Metrics()
@@ -356,6 +339,16 @@ func (c *Coordinator) Metrics() stream.Metrics {
 		m.OpenSessions += em.OpenSessions
 		m.TracesCompleted += em.TracesCompleted
 	}
+	return m
+}
+
+// Metrics aggregates the fleet into one stream.Metrics: ingest counters
+// sum across shards; the snapshot accounting (snapshots, rebuilds,
+// states pooled/served, join latency) is the coordinator's own — it
+// describes the global cross-shard join, the only join that runs under
+// a coordinator.
+func (c *Coordinator) Metrics() stream.Metrics {
+	m := c.ingest()
 	hs := c.hJoin.Snapshot()
 	m.Snapshots = int(c.mSnapshots.Value())
 	m.Rebuilds = int(c.mRebuilds.Value())

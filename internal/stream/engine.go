@@ -183,11 +183,13 @@ var LatencyBuckets = obs.ExponentialBuckets(0.001, 4, 12)
 // accounting together (see psm.Joiner.Reset) — so everything the joiner
 // reports describes the current epoch.
 //
-// An engine can also run as one shard of a shard.Coordinator: the
+// psmd runs every engine as one shard of a shard.Coordinator: the
 // coordinator imposes the globally-selected kept atom set through
 // ExportChains instead of letting the engine select its own, and joins
 // the shards' chains itself. The epoch cache works identically either
-// way — it is keyed on whatever kept set the caller brings.
+// way — it is keyed on whatever kept set the caller brings. Used on its
+// own, an engine is the coordinator's reference: the parity suites and
+// psmbench's correctness check build the expected model with Snapshot.
 type Engine struct {
 	cfg        Config
 	candidates []mining.Atom // fixed per schema
@@ -334,7 +336,7 @@ func (e *Engine) InputCols() []int {
 // Row vectors are not retained beyond the NEXT AppendBatch call:
 // the last row of the batch stays referenced as the input-HD history
 // until the following call replaces it. Arena-backed callers therefore
-// double-buffer two arenas (see serve.handleTraces).
+// double-buffer two arenas (see the shard worker's handleLines).
 func (s *Session) AppendBatch(rows [][]logic.Vector, powers []float64) error {
 	if len(rows) != len(powers) {
 		return fmt.Errorf("stream: batch has %d rows, %d powers", len(rows), len(powers))
@@ -446,7 +448,9 @@ func (s *Session) Abort() {
 
 // Snapshot materializes the current model over every completed session:
 // byte-identical to pipeline.BuildModel over the same traces. Cancelling
-// ctx aborts the chain fan-out with ctx.Err().
+// ctx aborts the chain fan-out with ctx.Err(). psmd no longer calls it —
+// it serves shard.Coordinator.Snapshot — but it stays the single-engine
+// reference the coordinator is held to.
 func (e *Engine) Snapshot(ctx context.Context) (*psm.Model, error) {
 	//psmlint:ignore nondet-source join-latency metric only; never reaches the model
 	start := time.Now()
@@ -482,7 +486,7 @@ func (e *Engine) Snapshot(ctx context.Context) (*psm.Model, error) {
 		return nil, fmt.Errorf("stream: no atomic proposition survived filtering (%d candidates over %d instants)",
 			len(e.candidates), e.totalRows)
 	}
-	rebuild, err := e.ensureEpoch(ctx, idx)
+	rebuild, err := e.ensureEpoch(ctx, idx, len(e.completed))
 	if err != nil {
 		return nil, err
 	}
@@ -525,15 +529,18 @@ func (e *Engine) Snapshot(ctx context.Context) (*psm.Model, error) {
 }
 
 // ensureEpoch brings the epoch cache — dictionary and per-session
-// chains — up to date for the kept atom set idx, rebuilding everything
-// when idx differs from the cached epoch's. The caller holds e.mu and
-// brings whatever kept set governs it: Snapshot selects the engine's
-// own (local mining statistics), a shard coordinator imposes the
-// globally selected one through ExportChains. The incremental joiner
-// fold deliberately stays out of the cache maintenance: Snapshot folds
-// (it owns the joiner), ExportChains does not (the cross-shard join
-// folds the remapped chains through its own Joiner instead).
-func (e *Engine) ensureEpoch(ctx context.Context, idx []int) (rebuilt bool, err error) {
+// chains — up to date for the kept atom set idx over the first n
+// completed sessions, rebuilding everything when idx differs from the
+// cached epoch's. The caller holds e.mu and brings whatever kept set
+// and session count govern it: Snapshot selects the engine's own (local
+// mining statistics, every completed session), a shard coordinator
+// imposes the globally selected set and its cut's count through
+// ExportChains — never below the count it brought before. The
+// incremental joiner fold deliberately stays out of the cache
+// maintenance: Snapshot folds (it owns the joiner), ExportChains does
+// not (the cross-shard join folds the remapped chains through its own
+// Joiner instead).
+func (e *Engine) ensureEpoch(ctx context.Context, idx []int, n int) (rebuilt bool, err error) {
 	rebuilt = !equalInts(idx, e.keptIdx)
 	if rebuilt {
 		// Epoch change: the new evidence moved the kept atom set, so every
@@ -558,7 +565,7 @@ func (e *Engine) ensureEpoch(ctx context.Context, idx []int) (rebuilt bool, err 
 	// the cache was last brought up to date are touched, so a delta
 	// snapshot's work does not grow with the completed-session count.
 	first := len(e.chains)
-	fresh := e.completed[first:]
+	fresh := e.completed[first:n]
 	propIDs := make([][]int, len(fresh))
 	for k, d := range fresh {
 		propIDs[k] = propIDsOf(e.dict, e.keptIdx, d)
@@ -617,46 +624,6 @@ func (e *Engine) Metrics() Metrics {
 		m.JoinLatency[i] = int(n)
 	}
 	return m
-}
-
-// Provenance re-derives every mergeability decision of the current
-// model — the audit trail behind GET /v1/provenance — by replaying the
-// full build (fresh dictionary, per-session simplify, one psm.JoinCtx
-// over every chain) with a recording merger attached. The replay runs
-// under the engine lock but never touches the epoch cache, so serving
-// provenance cannot perturb snapshot incrementality; and because it
-// follows the exact batch order (sessions in completion order, one
-// sequential join), the decisions equal `psmreport provenance` over
-// the same traces.
-func (e *Engine) Provenance(ctx context.Context) ([]obs.MergeDecision, error) {
-	ctx, span := obs.Start(ctx, "provenance")
-	defer span.End()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-
-	if len(e.completed) == 0 {
-		return nil, fmt.Errorf("stream: %w", ErrNoTraces)
-	}
-	idx := mining.SelectIndices(e.candidates, e.stats, e.totalRows, e.cfg.Mining)
-	if len(idx) == 0 {
-		return nil, fmt.Errorf("stream: no atomic proposition survived filtering (%d candidates over %d instants)",
-			len(e.candidates), e.totalRows)
-	}
-	kept := make([]mining.Atom, len(idx))
-	for i, ci := range idx {
-		kept[i] = e.candidates[ci]
-	}
-	dict := mining.NewDictionary(e.schema, kept)
-
-	log := obs.NewProvenanceLog()
-	ctx = obs.WithProvenance(ctx, log)
-	chains, err := e.provenanceChainsLocked(ctx, idx, dict, 0)
-	if err != nil {
-		return nil, err
-	}
-	psm.JoinCtx(ctx, chains, e.cfg.Merge)
-	span.SetAttr("decisions", log.Len())
-	return log.Decisions(), nil
 }
 
 func inputColumns(sigs []trace.Signal, names []string) ([]int, error) {

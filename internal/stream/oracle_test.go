@@ -2,11 +2,15 @@ package stream
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 
 	"psmkit/internal/logic"
+	"psmkit/internal/mining"
+	"psmkit/internal/obs"
+	"psmkit/internal/psm"
 	"psmkit/internal/trace"
 )
 
@@ -16,7 +20,8 @@ import (
 // the zero-copy Scanner to it) and the per-record Session.Append
 // (TestAppendBatchMatchesSequential holds AppendBatch to it). The
 // parity suites stream through Append, and TestIngestGate times both
-// paths.
+// paths. Engine.Provenance, the single-engine audit replay, is the
+// oracle of shard.Coordinator.Provenance.
 
 // Record is one record line as the Decoder decodes it: the
 // hex-encoded valuation of every schema signal and the optional
@@ -147,4 +152,36 @@ func (s *Session) Append(row []logic.Vector, power float64) error {
 	d.rows++
 	s.e.mRecords.Inc()
 	return nil
+}
+
+// Provenance is the single-engine audit replay, the oracle of
+// shard.Coordinator.Provenance: every mergeability decision of the
+// engine's current model, re-derived by replaying the full build (fresh
+// dictionary, per-session simplify, one psm.JoinCtx over every chain)
+// with a recording merger attached. It follows the exact batch order
+// (sessions in completion order, one sequential join), so the decisions
+// equal `psmreport provenance` over the same traces.
+func (e *Engine) Provenance(ctx context.Context) ([]obs.MergeDecision, error) {
+	e.mu.Lock()
+	completed := len(e.completed)
+	idx := mining.SelectIndices(e.candidates, e.stats, e.totalRows, e.cfg.Mining)
+	e.mu.Unlock()
+	if completed == 0 {
+		return nil, fmt.Errorf("stream: %w", ErrNoTraces)
+	}
+	if len(idx) == 0 {
+		return nil, fmt.Errorf("stream: no atomic proposition survived filtering")
+	}
+	kept := make([]mining.Atom, len(idx))
+	for i, ci := range idx {
+		kept[i] = e.candidates[ci]
+	}
+	log := obs.NewProvenanceLog()
+	ctx = obs.WithProvenance(ctx, log)
+	chains, err := e.ProvenanceChains(ctx, idx, mining.NewDictionary(e.Schema(), kept), 0, completed)
+	if err != nil {
+		return nil, err
+	}
+	psm.JoinCtx(ctx, chains, e.cfg.Merge)
+	return log.Decisions(), nil
 }

@@ -479,58 +479,93 @@ func streamTrace(t testing.TB, e *stream.Engine, c parityCase, i int) {
 // probes; the pre-incremental engine re-clustered the whole pool and
 // paid proportionally to it. Calibration is on and fits states, yet it
 // walks no stored sample (psm_calibrate_samples_total): the served
-// states carry their sums.
+// states carry their sums. The bound holds for the engine and for the
+// one-shard coordinator psmd serves through, whose snapshot must take
+// the delta fold.
 func TestSteadyStateSnapshotCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	c := genSteadyCase(rng)
 
-	probes := func(total int) int64 {
-		e := steadyEngine(t, c, total)
-		streamTrace(t, e, c, 0)
-		reg := obs.NewRegistry()
-		ctx := obs.WithRegistry(context.Background(), reg)
-		if _, err := e.Snapshot(ctx); err != nil {
-			t.Fatal(err)
-		}
-		m := e.Metrics()
-		if m.DeltaSnapshots < 1 {
-			t.Fatalf("pool=%d: measured snapshot did not take the delta path (%d rebuilds)", total, m.Rebuilds)
-		}
-		counters := reg.Snapshot().Counters
-		if counters["psm_calibration_fits_total"] == 0 {
-			t.Fatalf("pool=%d: the snapshot fitted no state — the case no longer exercises calibration", total)
-		}
-		if n := counters["psm_calibrate_samples_total"]; n != 0 {
-			t.Fatalf("pool=%d: the delta snapshot's calibration walked %d stored samples, want 0", total, n)
-		}
-		return counters["psm_merge_checks_total"]
+	arms := []struct {
+		name string
+		// step adds one chain to a settled history of total and
+		// snapshots it under ctx.
+		step func(ctx context.Context, total int) stream.Metrics
+	}{
+		{"engine", func(ctx context.Context, total int) stream.Metrics {
+			e := steadyEngine(t, c, total)
+			streamTrace(t, e, c, 0)
+			if _, err := e.Snapshot(ctx); err != nil {
+				t.Fatal(err)
+			}
+			return e.Metrics()
+		}},
+		{"coordinator", func(ctx context.Context, total int) stream.Metrics {
+			co := steadyCoordinator(t, c, total)
+			defer co.Close()
+			uploadTrace(t, co, c, 0)
+			if fold := snapshotFold(t, co, ctx); fold != "delta" {
+				t.Fatalf("pool=%d: the coordinator's snapshot took the %q fold, want delta", total, fold)
+			}
+			return co.Metrics()
+		}},
 	}
+	for _, arm := range arms {
+		probes := func(total int) int64 {
+			reg := obs.NewRegistry()
+			m := arm.step(obs.WithRegistry(context.Background(), reg), total)
+			if m.DeltaSnapshots < 1 {
+				t.Fatalf("%s pool=%d: measured snapshot did not take the delta path (%d rebuilds)", arm.name, total, m.Rebuilds)
+			}
+			counters := reg.Snapshot().Counters
+			if counters["psm_calibration_fits_total"] == 0 {
+				t.Fatalf("%s pool=%d: the snapshot fitted no state — the case no longer exercises calibration", arm.name, total)
+			}
+			if n := counters["psm_calibrate_samples_total"]; n != 0 {
+				t.Fatalf("%s pool=%d: the delta snapshot's calibration walked %d stored samples, want 0", arm.name, total, n)
+			}
+			return counters["psm_merge_checks_total"]
+		}
 
-	small := probes(6)
-	large := probes(30)
-	if small == 0 {
-		t.Fatal("no mergeability probes counted — registry not reaching the join")
-	}
-	if large > 2*small {
-		t.Fatalf("steady-state snapshot cost scales with pooled history: %d probes at pool=30 vs %d at pool=6",
-			large, small)
+		small := probes(6)
+		large := probes(30)
+		t.Logf("%s: %d probes after a pool of 6, %d after a pool of 30", arm.name, small, large)
+		if small == 0 {
+			t.Fatalf("%s: no mergeability probes counted — registry not reaching the join", arm.name)
+		}
+		if large > 2*small {
+			t.Fatalf("%s: steady-state snapshot cost scales with pooled history: %d probes at pool=30 vs %d at pool=6",
+				arm.name, large, small)
+		}
 	}
 }
 
 // BenchmarkSnapshotSteadyState measures the wall-clock of one
 // steady-state cycle (stream one trace, snapshot) against histories of
-// different depth: with delta snapshots the per-cycle cost is flat in
+// different depth, on the engine and on the one-shard coordinator psmd
+// serves through: with delta snapshots the per-cycle cost is flat in
 // the pooled total.
 func BenchmarkSnapshotSteadyState(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	c := genSteadyCase(rng)
 	for _, total := range []int{8, 64, 512} {
-		b.Run(fmt.Sprintf("pooled=%d", total), func(b *testing.B) {
+		b.Run(fmt.Sprintf("engine/pooled=%d", total), func(b *testing.B) {
 			e := steadyEngine(b, c, total)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				streamTrace(b, e, c, 0)
 				if _, err := e.Snapshot(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("coordinator/pooled=%d", total), func(b *testing.B) {
+			co := steadyCoordinator(b, c, total)
+			defer co.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				uploadTrace(b, co, c, 0)
+				if _, err := co.Snapshot(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -30,7 +30,10 @@ func InputColumns(sigs []trace.Signal, names []string) ([]int, error) {
 // total row count they cover, and the number of completed traces. The
 // coordinator sums these across shards — AtomStats fields are exact
 // integer counts, so the sum equals a single engine's statistics over
-// the union of the sessions (mining.MergeStats' losslessness).
+// the union of the sessions (mining.MergeStats' losslessness) — and
+// passes each shard's trace count back to ExportChains or
+// ProvenanceChains, so chains and statistics describe the same
+// completed-session prefix while ingest goes on.
 func (e *Engine) MiningStats() (stats []mining.AtomStats, rows, traces int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -45,7 +48,7 @@ func (e *Engine) MiningStats() (stats []mining.AtomStats, rows, traces int) {
 // must not be mutated.
 type ShardExport struct {
 	// Traces is the completed-session count this export covers
-	// (== len(Chains)).
+	// (== len(Chains)): the first Traces sessions in completion order.
 	Traces int
 	// PropKeys maps each shard-local proposition id to its kept-set
 	// truth signature — the dictionary re-intern source.
@@ -56,51 +59,49 @@ type ShardExport struct {
 }
 
 // ExportChains brings the epoch cache up to date for the imposed kept
-// atom set and exports the shard's chains. An engine with no completed
-// sessions exports the zero ShardExport.
+// atom set over the first traces completed sessions — the count of a
+// MiningStats cut; sessions completed since stay out — and exports
+// their chains. Successive calls must not lower traces. A zero count
+// exports the zero ShardExport.
 //
 // Interleaving ExportChains with local Snapshot calls is safe but
 // counterproductive: whenever the imposed set differs from the locally
 // selected one each call rebuilds the other's epoch. A coordinator-
 // managed engine should be snapshotted only through its coordinator.
-func (e *Engine) ExportChains(ctx context.Context, keptIdx []int) (ShardExport, error) {
-	ctx, span := obs.Start(ctx, "export_chains")
+func (e *Engine) ExportChains(ctx context.Context, keptIdx []int, traces int) (ShardExport, error) {
+	ctx, span := obs.Start(ctx, "export_chains", obs.KV("traces", traces))
 	defer span.End()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.completed) == 0 {
+	if traces == 0 {
 		return ShardExport{}, nil
 	}
-	if _, err := e.ensureEpoch(ctx, keptIdx); err != nil {
-		return ShardExport{}, err
-	}
-	exp := ShardExport{
-		Traces:   len(e.completed),
-		PropKeys: e.dict.Snapshot().PropKeys,
-		Chains:   append([]*psm.Chain(nil), e.chains...),
-	}
-	span.SetAttr("traces", exp.Traces)
-	return exp, nil
-}
-
-// ProvenanceChains replays this engine's chain builds for a cross-shard
-// provenance audit: fresh chains (never the epoch cache) interned into
-// the caller's dictionary under the imposed kept set, tagged with
-// global trace indices base, base+1, … so the decisions recorded into
-// the context's provenance log carry canonical trace numbers. The
-// coordinator calls shards in index order, which makes the interleaved
-// intern sequence equal the single-engine replay's.
-func (e *Engine) ProvenanceChains(ctx context.Context, keptIdx []int, dict *mining.Dictionary, base int) ([]*psm.Chain, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.provenanceChainsLocked(ctx, keptIdx, dict, base)
+	if _, err := e.ensureEpoch(ctx, keptIdx, traces); err != nil {
+		return ShardExport{}, err
+	}
+	// Later calls only append past traces (a rebuild starts a new
+	// slice), so the export shares the cache's chain storage.
+	return ShardExport{
+		Traces:   traces,
+		PropKeys: e.dict.Snapshot().PropKeys,
+		Chains:   e.chains[:traces:traces],
+	}, nil
 }
 
-// provenanceChainsLocked is ProvenanceChains under an already-held
-// engine lock (Engine.Provenance shares it for the single-engine path).
-func (e *Engine) provenanceChainsLocked(ctx context.Context, keptIdx []int, dict *mining.Dictionary, base int) ([]*psm.Chain, error) {
-	chains := make([]*psm.Chain, 0, len(e.completed))
-	for i, d := range e.completed {
+// ProvenanceChains replays this engine's chain builds for the first
+// traces completed sessions (a MiningStats cut's count) for a
+// cross-shard provenance audit: fresh chains (never the epoch cache)
+// interned into the caller's dictionary under the imposed kept set,
+// tagged with global trace indices base, base+1, … so the decisions
+// recorded into the context's provenance log carry canonical trace
+// numbers. The coordinator calls shards in index order, which makes the
+// interleaved intern sequence equal the single-engine replay's.
+func (e *Engine) ProvenanceChains(ctx context.Context, keptIdx []int, dict *mining.Dictionary, base, traces int) ([]*psm.Chain, error) {
+	e.mu.Lock()
+	completed := e.completed[:traces]
+	e.mu.Unlock()
+	chains := make([]*psm.Chain, 0, traces)
+	for i, d := range completed {
 		c := chainOfSession(ctx, dict, propIDsOf(dict, keptIdx, d), base+i, d, e.cfg.Merge)
 		if c == nil {
 			return nil, fmt.Errorf("stream: trace %d: proposition trace too short to expose a temporal pattern", base+i)

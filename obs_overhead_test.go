@@ -24,10 +24,10 @@ import (
 //
 //   - the opt-in arm: span events to io.Discard, live registry, live
 //     provenance log — what -trace/-metrics/-provenance costs;
-//   - the always-on arm: psmd's standing diagnostics — a tracer with no
-//     event writer feeding the flight-recorder ring and the windowed
-//     span histogram, plus a live registry — what every psmd request
-//     pays whether or not anyone is watching.
+//   - the always-on arm: psmd's standing diagnostics — the zero tracer
+//     (no event writer, no span records) feeding the flight-recorder
+//     ring and the windowed span histogram, plus a live registry — what
+//     every psmd request pays whether or not anyone is watching.
 //
 // The comparison bounds the disabled path from above: whatever the nil
 // checks cost is included in all arms.
@@ -72,9 +72,10 @@ func TestObsOverheadGate(t *testing.T) {
 		return build(ctx)
 	}
 	alwaysOnArm := func() time.Duration {
-		// psmd's standing configuration: no event writer, but every span
-		// lands in the flight ring and the windowed latency histogram.
-		tr := obs.NewTracer(nil)
+		// psmd's standing configuration: the zero tracer — no event
+		// writer, no span records — but every span lands in the flight
+		// ring and the windowed latency histogram.
+		tr := new(obs.Tracer)
 		tr.SetFlight(obs.NewFlight(obs.DefaultFlightEntries))
 		reg := obs.NewRegistry()
 		tr.SetSpanWindow(reg.Window("span_ms_window",

@@ -1,9 +1,11 @@
 // Command psmd_smoke is the `make psmd-smoke` gate: it exercises the real
-// psmd and tracegen binaries end to end over HTTP — boot the daemon on an
-// ephemeral port with -shards=4, stream a generated RAM trace in, require
-// GET /v1/model to serve a verified model, require GET /metrics to report
-// the ingested record count fleet-wide plus one row per shard, and shut
-// the daemon down gracefully via SIGTERM.
+// psmd and tracegen binaries end to end over HTTP, once with the default
+// single shard and once with -shards=4 — boot the daemon on an ephemeral
+// port, stream a generated RAM trace in, require the ack to name a
+// shard, GET /v1/model to serve a verified model, GET /metrics to report
+// the ingested record count fleet-wide (the Prometheus exposition
+// included) plus one row per shard, GET /v1/status to carry the same
+// shard rows, and shut the daemon down gracefully via SIGTERM.
 //
 // It exits 0 on success and 1 with a diagnostic on any failure, so it
 // slots into `make ci` next to the test and lint gates.
@@ -51,9 +53,24 @@ func run() error {
 		}
 	}
 
+	for _, shards := range []int{1, 4} {
+		if err := smoke(psmd, tracegen, shards); err != nil {
+			return fmt.Errorf("shards=%d: %w", shards, err)
+		}
+	}
+	return nil
+}
+
+// smoke drives one daemon; shards = 1 boots it without -shards, the
+// default.
+func smoke(psmd, tracegen string, shards int) error {
 	// Boot the daemon on an ephemeral port and learn the address from its
 	// startup log.
-	daemon := exec.Command(psmd, "-addr", "127.0.0.1:0", "-shards", "4", "-inputs", "en,we,addr,wdata")
+	args := []string{"-addr", "127.0.0.1:0", "-inputs", "en,we,addr,wdata"}
+	if shards > 1 {
+		args = append(args, "-shards", fmt.Sprint(shards))
+	}
+	daemon := exec.Command(psmd, args...)
 	stderr, err := daemon.StderrPipe()
 	if err != nil {
 		return err
@@ -114,9 +131,9 @@ func run() error {
 	if err := json.Unmarshal(body, &ack); err != nil || ack.Records != traceInstants {
 		return fmt.Errorf("ingest acknowledged %d records, want %d (%v)", ack.Records, traceInstants, err)
 	}
-	// Under -shards the ack names the shard that owned the session.
-	if ack.Shard == nil || *ack.Shard < 0 || *ack.Shard >= 4 {
-		return fmt.Errorf("sharded ingest ack missing a valid shard index: %s", body)
+	// The ack names the shard that owned the session.
+	if ack.Shard == nil || *ack.Shard < 0 || *ack.Shard >= shards {
+		return fmt.Errorf("ingest ack missing a valid shard index: %s", body)
 	}
 
 	// The model endpoint runs the psmlint rule set before serving; a 200
@@ -163,8 +180,8 @@ func run() error {
 	}
 	// One metrics row per shard, indices in order, bounded queues live,
 	// nothing shed, and the per-shard counters summing to the fleet view.
-	if len(mdoc.PSMD.Shards) != 4 {
-		return fmt.Errorf("metrics carry %d shard rows, want 4: %s", len(mdoc.PSMD.Shards), body)
+	if len(mdoc.PSMD.Shards) != shards {
+		return fmt.Errorf("metrics carry %d shard rows, want %d: %s", len(mdoc.PSMD.Shards), shards, body)
 	}
 	var shardRecords int64
 	var shardTraces int
@@ -189,8 +206,25 @@ func run() error {
 			*ack.Shard, mdoc.PSMD.Shards[*ack.Shard].RecordsIngested)
 	}
 
+	// The Prometheus exposition carries the same fleet counters.
+	resp, err = http.Get(base + "/metrics?format=prometheus")
+	if err != nil {
+		return err
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{
+		fmt.Sprintf("psmd_records_ingested_total %d\n", traceInstants),
+		"psmd_traces_completed_total 1\n",
+		"psmd_sessions_open 0\n",
+	} {
+		if !strings.Contains(string(body), want) {
+			return fmt.Errorf("GET /metrics?format=prometheus lacks %q", want)
+		}
+	}
+
 	// The health surface must report ready with sane windowed quantiles
-	// after the traffic above.
+	// and one row per shard after the traffic above.
 	resp, err = http.Get(base + "/v1/status")
 	if err != nil {
 		return err
@@ -213,6 +247,7 @@ func run() error {
 			Requests int64 `json:"requests"`
 			Errors   int64 `json:"errors"`
 		} `json:"errors"`
+		Shards []struct{} `json:"shards"`
 	}
 	if err := json.Unmarshal(body, &sdoc); err != nil {
 		return fmt.Errorf("GET /v1/status: %v\n%s", err, body)
@@ -226,6 +261,9 @@ func run() error {
 	}
 	if sdoc.Errors.Requests == 0 || sdoc.Errors.Errors != 0 {
 		return fmt.Errorf("SLO error accounting implausible: %s", body)
+	}
+	if len(sdoc.Shards) != shards {
+		return fmt.Errorf("status carries %d shard rows, want %d: %s", len(sdoc.Shards), shards, body)
 	}
 
 	// The flight recorder must have captured the session: a post-traffic
