@@ -43,7 +43,7 @@ func genRows(seed int64, n int) ([][]logic.Vector, []float64) {
 	return rows, pows
 }
 
-func uploadBody(t *testing.T, rows [][]logic.Vector, pows []float64) *bytes.Buffer {
+func uploadBody(t testing.TB, rows [][]logic.Vector, pows []float64) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := stream.NewEncoder(&buf)

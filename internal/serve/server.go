@@ -17,9 +17,13 @@
 //	                    shard and its trace index there.
 //	GET  /v1/model    — export the live model (?format=json|dot), rebuilt
 //	                    incrementally from completed sessions and verified
-//	                    by the psmlint rule set before serving.
+//	                    by the psmlint rule set before serving. Each model
+//	                    generation is built, verified and encoded once; the
+//	                    JSON body carries a strong ETag and answers
+//	                    If-None-Match with 304.
 //	POST /v1/estimate — co-simulate an NDJSON functional stream against
-//	                    the live model and return the power estimate
+//	                    the live model, once it has passed the same
+//	                    verification, and return the power estimate
 //	                    (and the MRE when reference powers are present).
 //	GET  /v1/provenance — the merge-provenance audit log of the live
 //	                    model as NDJSON: one Section IV-A mergeability
@@ -34,9 +38,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"hash/crc64"
 	"io"
 	"math"
 	"net/http"
@@ -51,6 +57,7 @@ import (
 	"psmkit/internal/logic"
 	"psmkit/internal/obs"
 	"psmkit/internal/powersim"
+	"psmkit/internal/psm"
 	"psmkit/internal/shard"
 	"psmkit/internal/stats"
 	"psmkit/internal/stream"
@@ -89,7 +96,8 @@ type Config struct {
 	// amortize the queue hop and the atom-signature reduction, smaller
 	// ones bound the memory a slow upload pins.
 	IngestBatch int
-	// CheckOptions parameterizes the model verifier gating GET /v1/model.
+	// CheckOptions parameterizes the model verifier gating GET /v1/model
+	// and POST /v1/estimate.
 	CheckOptions check.Options
 	// Sim parameterizes the estimation tracker.
 	Sim powersim.Config
@@ -154,6 +162,28 @@ type Server struct {
 	nextSession atomic.Int64
 	tlMu        sync.Mutex
 	slow        []sessionTimeline
+
+	// The verified, encoded form of the last model generation served.
+	genMu sync.Mutex
+	gen   *generation
+}
+
+// generation is one model generation as the read endpoints serve it:
+// the model shard.Coordinator.Snapshot returned (the cache key — a new
+// generation is a new pointer), which passed verification, its JSON
+// body in an exact-size buffer and the body's strong ETag.
+type generation struct {
+	m    *psm.Model
+	body []byte
+	etag string
+}
+
+// verifyError is a live model that failed verification: the response
+// is a 500, and the model is never cached.
+type verifyError struct{ rep *check.Report }
+
+func (e *verifyError) Error() string {
+	return fmt.Sprintf("live model failed verification (%d errors)", e.rep.Count(check.Error))
 }
 
 // New builds a server around a fresh shard coordinator. Runtime
@@ -459,46 +489,125 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 
 // handleModel exports the live model after the psmlint rule set clears
 // it: a model that fails verification is a pipeline bug and must not
-// leave the process looking like a result.
+// leave the process looking like a result. The JSON body of a
+// generation is encoded once and served from memory with its ETag;
+// If-None-Match naming that tag (or *) gets a 304. DOT renders per
+// request from the same verified model.
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	m, err := s.co.Snapshot(r.Context())
-	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, stream.ErrNoTraces) {
-			code = http.StatusNotFound
-		}
-		if errors.Is(err, r.Context().Err()) && r.Context().Err() != nil {
-			return
-		}
-		http.Error(w, err.Error(), code)
-		return
-	}
-	rep := check.VerifyPSM(m, "live", s.cfg.CheckOptions)
-	if rep.HasErrors() {
-		s.log.Error("live model failed verification", obs.KV("errors", rep.Count(check.Error)))
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.WriteHeader(http.StatusInternalServerError)
-		fmt.Fprintf(w, "live model failed verification (%d errors):\n", rep.Count(check.Error))
-		//psmlint:ignore err-drop response already committed; a write error here means the client left
-		rep.Write(w)
+	g, ok := s.verifiedModel(w, r)
+	if !ok {
 		return
 	}
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
-		w.Header().Set("Content-Type", "application/json")
+		h := w.Header()
+		h.Set("ETag", g.etag)
+		if etagMatch(r.Header.Get("If-None-Match"), g.etag) {
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		h.Set("Content-Type", "application/json")
+		h.Set("Content-Length", strconv.Itoa(len(g.body)))
 		//psmlint:ignore err-drop response already committed; a write error here means the client left
-		m.WriteJSON(w)
+		w.Write(g.body)
 	case "dot":
 		w.Header().Set("Content-Type", "text/vnd.graphviz")
 		//psmlint:ignore err-drop response already committed; a write error here means the client left
-		m.WriteDOT(w, "psm")
+		g.m.WriteDOT(w, "psm")
 	default:
 		http.Error(w, fmt.Sprintf("unknown format %q (json|dot)", format), http.StatusBadRequest)
 	}
+}
+
+// verifiedModel returns the current model generation, verified and
+// encoded, or writes the error response and reports false: 404 before
+// any trace completed, 500 for a failed snapshot or a model that fails
+// verification (logged, with the report in the body), nothing when the
+// client has gone.
+func (s *Server) verifiedModel(w http.ResponseWriter, r *http.Request) (*generation, bool) {
+	ctx := r.Context()
+	m, err := s.co.Snapshot(ctx)
+	if err == nil {
+		var g *generation
+		if g, err = s.generationOf(ctx, m); err == nil {
+			return g, true
+		}
+	}
+	var verr *verifyError
+	switch {
+	case errors.As(err, &verr):
+		s.log.Error("live model failed verification", obs.KV("errors", verr.rep.Count(check.Error)))
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		w.WriteHeader(http.StatusInternalServerError)
+		fmt.Fprintf(w, "%v:\n", verr)
+		//psmlint:ignore err-drop response already committed; a write error here means the client left
+		verr.rep.Write(w)
+	case errors.Is(err, stream.ErrNoTraces):
+		http.Error(w, err.Error(), http.StatusNotFound)
+	case ctx.Err() != nil && errors.Is(err, ctx.Err()):
+		// The client is gone; nothing reaches it.
+	default:
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+	return nil, false
+}
+
+// generationOf returns the served form of m: the cached entry when m is
+// the generation already verified and encoded, else a fresh one —
+// verified, encoded and hashed once, then cached unless it failed
+// verification. No lock is held while verifying or encoding, so two
+// concurrent misses on one generation may both do the work; each
+// serves the body of the model its own snapshot returned.
+func (s *Server) generationOf(ctx context.Context, m *psm.Model) (*generation, error) {
+	s.genMu.Lock()
+	g := s.gen
+	s.genMu.Unlock()
+	if g != nil && g.m == m {
+		return g, nil
+	}
+
+	_, span := obs.Start(ctx, "check.verify")
+	rep := check.VerifyPSM(m, "live", s.cfg.CheckOptions)
+	span.End()
+	if rep.HasErrors() {
+		return nil, &verifyError{rep}
+	}
+	_, span = obs.Start(ctx, "psm.encode")
+	var buf bytes.Buffer
+	err := m.WriteJSON(&buf)
+	span.End()
+	if err != nil {
+		return nil, err
+	}
+	body := make([]byte, buf.Len())
+	copy(body, buf.Bytes())
+	// The tag is the body's CRC-64/ECMA: a 64-bit function of the bytes
+	// alone, so equal bodies carry equal tags across restarts and shard
+	// counts. (The table is built on first use, not at package init.)
+	tag := crc64.Checksum(body, crc64.MakeTable(crc64.ECMA))
+	g = &generation{m: m, body: body, etag: fmt.Sprintf(`"%016x"`, tag)}
+
+	s.genMu.Lock()
+	s.gen = g
+	s.genMu.Unlock()
+	return g, nil
+}
+
+// etagMatch reports whether an If-None-Match header names etag: a
+// comma-separated list of entity tags, or *. The comparison is weak
+// (RFC 9110 13.1.2), so a W/ prefix on a listed tag still matches.
+func etagMatch(header, etag string) bool {
+	for _, tag := range strings.Split(header, ",") {
+		tag = strings.TrimSpace(tag)
+		if tag == "*" || strings.TrimPrefix(tag, "W/") == etag {
+			return true
+		}
+	}
+	return false
 }
 
 // handleProvenance streams the merge-provenance audit log of the live
@@ -554,8 +663,10 @@ type estimateResult struct {
 }
 
 // handleEstimate co-simulates an uploaded functional stream against the
-// current model snapshot. Records may omit the power value; when all
-// carry one, the MRE against the upload is reported. The upload's
+// current model snapshot, gated on the same per-generation verification
+// as GET /v1/model (a model that fails it is a 500 here too, and
+// nothing is estimated against it). Records may omit the power value;
+// when all carry one, the MRE against the upload is reported. The upload's
 // schema must be the model's: the co-simulation evaluates the model's
 // atoms on each row by column, so any other schema is a 400 naming the
 // first mismatch.
@@ -564,15 +675,11 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	m, err := s.co.Snapshot(r.Context())
-	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, stream.ErrNoTraces) {
-			code = http.StatusNotFound
-		}
-		http.Error(w, err.Error(), code)
+	g, ok := s.verifiedModel(w, r)
+	if !ok {
 		return
 	}
+	m := g.m
 
 	sc := stream.NewScanner(r.Body, s.cfg.MaxLineBytes)
 	h, err := sc.ScanHeader()

@@ -28,7 +28,7 @@ var testSigs = []trace.Signal{
 // genNDJSON renders one synthetic trace as an upload body. The power
 // level tracks the control state so the model has distinct power states
 // to find, and withPower=false drops the p field (estimate uploads).
-func genNDJSON(t *testing.T, seed int64, n int, withPower bool) *bytes.Buffer {
+func genNDJSON(t testing.TB, seed int64, n int, withPower bool) *bytes.Buffer {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	var buf bytes.Buffer
@@ -83,7 +83,7 @@ func newTestServer() *Server {
 	return New(cfg)
 }
 
-func mustPost(t *testing.T, url string, body io.Reader) *http.Response {
+func mustPost(t testing.TB, url string, body io.Reader) *http.Response {
 	t.Helper()
 	resp, err := http.Post(url, "application/x-ndjson", body)
 	if err != nil {
@@ -92,7 +92,7 @@ func mustPost(t *testing.T, url string, body io.Reader) *http.Response {
 	return resp
 }
 
-func readAll(t *testing.T, resp *http.Response) string {
+func readAll(t testing.TB, resp *http.Response) string {
 	t.Helper()
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)

@@ -315,7 +315,7 @@ func TestShardedIngestErrors(t *testing.T) {
 	}
 }
 
-func mustGet(t *testing.T, url string) *http.Response {
+func mustGet(t testing.TB, url string) *http.Response {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {

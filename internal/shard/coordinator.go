@@ -110,6 +110,7 @@ type Coordinator struct {
 	mSnapshots *obs.Counter
 	mRebuilds  *obs.Counter
 	mDelta     *obs.Counter
+	mCached    *obs.Counter
 	mJoinNanos *obs.Counter
 	mShed      *obs.Counter
 	gPooled    *obs.Gauge
@@ -127,15 +128,18 @@ type Coordinator struct {
 	autoID     int64
 
 	// Snapshot state, serialized by snapMu: the cross-snapshot verdict
-	// memo, the last global kept atom set (the global epoch) and the
+	// memo, the last global kept atom set (the global epoch), the
 	// persistent fold — one joiner over the global dictionary, plus what
-	// each shard has contributed to it so far (see Snapshot).
-	snapMu   sync.Mutex
-	memo     *psm.EvalMemo
-	lastKept []int
-	joiner   *psm.Joiner
-	gdict    *mining.Dictionary
-	folded   []foldedShard
+	// each shard has contributed to it so far — and the last model built
+	// with the per-shard session counts it covers (see Snapshot).
+	snapMu     sync.Mutex
+	memo       *psm.EvalMemo
+	lastKept   []int
+	joiner     *psm.Joiner
+	gdict      *mining.Dictionary
+	folded     []foldedShard
+	last       *psm.Model
+	lastCounts []int
 
 	stopc     chan struct{}
 	wg        sync.WaitGroup
@@ -173,6 +177,7 @@ func New(cfg Config) *Coordinator {
 		mSnapshots: reg.Counter("psmd_snapshots_total"),
 		mRebuilds:  reg.Counter("psmd_rebuilds_total"),
 		mDelta:     reg.Counter("psmd_snapshots_delta_total"),
+		mCached:    reg.Counter("psmd_snapshots_cached_total"),
 		mJoinNanos: reg.Counter("psmd_join_nanos_total"),
 		mShed:      reg.Counter("psmd_shed_total"),
 		gPooled:    reg.Gauge("psmd_states_pooled"),

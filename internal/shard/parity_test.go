@@ -248,25 +248,23 @@ func TestCrossShardMatchesBatch(t *testing.T) {
 					t.Fatalf("seed %d shards %d %s order %v: JSON exports differ", seed, n, sched.name, order)
 				}
 
-				// A repeat snapshot reuses the shard epoch caches and the
-				// cross-snapshot verdict memo (the delta path) and must stay
-				// byte-identical too.
+				// No session completed since, so a repeat snapshot is the
+				// same generation: the cached model itself, not a rebuild,
+				// and it still counts as one model built.
 				again, err := co.Snapshot(context.Background())
 				if err != nil {
 					t.Fatalf("seed %d shards %d %s: repeat snapshot: %v", seed, n, sched.name, err)
 				}
-				ad, aj := exports(t, again)
-				if ad != bd || aj != bj {
-					t.Fatalf("seed %d shards %d %s order %v: delta-path snapshot diverges from batch",
-						seed, n, sched.name, order)
+				if again != live {
+					t.Fatalf("seed %d shards %d %s: repeat snapshot rebuilt the model instead of reusing it", seed, n, sched.name)
 				}
 				m := co.Metrics()
-				if m.Snapshots != m.Rebuilds+m.DeltaSnapshots {
-					t.Fatalf("seed %d shards %d %s: %d snapshots ≠ %d rebuilds + %d delta",
+				if m.Snapshots != 1 || m.Snapshots != m.Rebuilds+m.DeltaSnapshots {
+					t.Fatalf("seed %d shards %d %s: %d snapshots (%d rebuilds + %d delta), want 1 model built",
 						seed, n, sched.name, m.Snapshots, m.Rebuilds, m.DeltaSnapshots)
 				}
-				if m.DeltaSnapshots < 1 {
-					t.Fatalf("seed %d shards %d %s: repeat snapshot did not take the delta path", seed, n, sched.name)
+				if hits := co.Registry().Snapshot().Counters["psmd_snapshots_cached_total"]; hits != 1 {
+					t.Fatalf("seed %d shards %d %s: %d cached snapshots, want 1", seed, n, sched.name, hits)
 				}
 				if m.TracesCompleted != len(c.fts) {
 					t.Fatalf("seed %d shards %d %s: %d traces completed, want %d",
@@ -405,32 +403,11 @@ func TestCrossShardLinesPathMatchesRows(t *testing.T) {
 		return closed[a].local < closed[b].local
 	})
 
-	mcfg, merge, cal := flowPolicies()
-	viaRows := stream.NewEngine(stream.Config{
-		Workers: 2, Mining: mcfg, Merge: merge, Calibration: cal, Inputs: c.inputs,
-	})
-	for _, d := range closed {
-		ft, n := c.fts[d.traceIdx], c.fts[d.traceIdx].Len()
-		s, err := viaRows.Open(ft.Signals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows := make([][]logic.Vector, n)
-		for r := range rows {
-			rows[r] = ft.Row(r)
-		}
-		if err := s.AppendBatch(rows, c.pws[d.traceIdx].Values[:n]); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
+	order := make([]int, len(closed))
+	for i, d := range closed {
+		order[i] = d.traceIdx
 	}
-
-	a, err := viaRows.Snapshot(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := engineSnapshot(t, c, order)
 	b, err := viaLines.Snapshot(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -439,6 +416,139 @@ func TestCrossShardLinesPathMatchesRows(t *testing.T) {
 	bd, bj := exports(t, b)
 	if ad != bd || aj != bj {
 		t.Fatal("lines-path model differs from rows-path model")
+	}
+}
+
+// engineSnapshot is the single-engine reference: a fresh stream.Engine
+// fed the case's traces in the given order as decoded rows, snapshotted
+// once.
+func engineSnapshot(t testing.TB, c parityCase, order []int) *psm.Model {
+	t.Helper()
+	mcfg, merge, cal := flowPolicies()
+	eng := stream.NewEngine(stream.Config{
+		Workers: 2, Mining: mcfg, Merge: merge, Calibration: cal, Inputs: c.inputs,
+	})
+	for _, i := range order {
+		ft, n := c.fts[i], c.fts[i].Len()
+		s, err := eng.Open(ft.Signals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([][]logic.Vector, n)
+		for r := range rows {
+			rows[r] = ft.Row(r)
+		}
+		if err := s.AppendBatch(rows, c.pws[i].Values[:n]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := eng.Snapshot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestSnapshotGenerationReuse pins the one-build-per-generation rule at
+// shard counts {1,2,4}. With no session completed since the last
+// successful snapshot, Snapshot returns that same model: counted as
+// cached, not as built, landing no join-latency sample, its span marked
+// fold=cached, and its bytes equal to a fresh single engine's snapshot
+// over the same sessions in canonical order. A cancelled snapshot is
+// not cached, and the next completed session makes a new generation.
+func TestSnapshotGenerationReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	c := genParityCase(rng)
+	for len(c.fts) < 4 {
+		c = genParityCase(rng)
+	}
+	ctx := context.Background()
+	last := len(c.fts) - 1
+	head := c
+	head.fts, head.pws = c.fts[:last], c.pws[:last]
+	for _, n := range []int{1, 2, 4} {
+		co := newCoordinator(c, n, 2)
+		order := interleave(t, co, head, rng, func(*rand.Rand, []int) int { return 0 })
+		first, err := co.Snapshot(ctx)
+		if err != nil {
+			t.Fatalf("shards %d: %v", n, err)
+		}
+		var events bytes.Buffer
+		again, err := co.Snapshot(obs.WithTracer(ctx, obs.NewTracer(&events)))
+		if err != nil {
+			t.Fatalf("shards %d: repeat snapshot: %v", n, err)
+		}
+		if again != first {
+			t.Fatalf("shards %d: repeat snapshot over the same sessions built a new model", n)
+		}
+		if fold := snapshotAttr(t, events.Bytes(), "fold"); fold != "cached" {
+			t.Fatalf("shards %d: repeat snapshot took the %v fold, want cached", n, fold)
+		}
+		ad, aj := exports(t, again)
+		wd, wj := exports(t, engineSnapshot(t, c, order))
+		if ad != wd || aj != wj {
+			t.Fatalf("shards %d order %v: cached model differs from a fresh engine's", n, order)
+		}
+		m := co.Metrics()
+		samples := 0
+		for _, k := range m.JoinLatency {
+			samples += k
+		}
+		hits := func() int64 { return co.Registry().Snapshot().Counters["psmd_snapshots_cached_total"] }
+		if m.Snapshots != 1 || m.Snapshots != m.Rebuilds+m.DeltaSnapshots || samples != 1 || hits() != 1 {
+			t.Fatalf("shards %d: %d built (%d rebuilds + %d delta), %d latency samples, %d cached; want 1/1/1",
+				n, m.Snapshots, m.Rebuilds, m.DeltaSnapshots, samples, hits())
+		}
+
+		// A new completed session makes a new generation; a cancelled
+		// snapshot of it is not cached.
+		s, err := co.Open(ctx, "the-last", c.fts[last].Signals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < c.fts[last].Len(); r++ {
+			if err := appendRecord(s, c.fts[last].Row(r), c.pws[last].Values[r], 2+r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := s.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		cctx, cancel := context.WithCancel(ctx)
+		cancel()
+		if _, err := co.Snapshot(cctx); err == nil {
+			t.Fatalf("shards %d: a cancelled snapshot of a new session succeeded", n)
+		}
+		next, err := co.Snapshot(ctx)
+		if err != nil {
+			t.Fatalf("shards %d: snapshot after the cancelled one: %v", n, err)
+		}
+		if next == first {
+			t.Fatalf("shards %d: a completed session did not make a new generation", n)
+		}
+		shardOf := func(i int) int {
+			if i == last {
+				return s.Shard()
+			}
+			return co.ShardOf(fmt.Sprintf("trace-%d", i))
+		}
+		full := append(append([]int(nil), order...), last)
+		sort.SliceStable(full, func(a, b int) bool { return shardOf(full[a]) < shardOf(full[b]) })
+		nd, nj := exports(t, next)
+		wd, wj = exports(t, engineSnapshot(t, c, full))
+		if nd != wd || nj != wj {
+			t.Fatalf("shards %d order %v: the generation after a cancelled snapshot differs from a fresh engine's", n, full)
+		}
+		if again, err := co.Snapshot(ctx); err != nil || again != next {
+			t.Fatalf("shards %d: the new generation was not reused (%v)", n, err)
+		}
+		if m := co.Metrics(); m.Snapshots != 2 || hits() != 2 {
+			t.Fatalf("shards %d: %d built, %d cached after the new generation; want 2/2", n, m.Snapshots, hits())
+		}
+		co.Close()
 	}
 }
 

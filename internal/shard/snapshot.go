@@ -66,12 +66,28 @@ func (c *Coordinator) miningCut(candidates []mining.Atom) globalCut {
 // atom set moves (a global epoch boundary, mirroring psm.Joiner.Reset).
 // At one shard every snapshot under an unchanged kept set folds only
 // the new chains.
+//
+// A model is built once per generation: when no shard has completed a
+// session since the last successful snapshot, Snapshot returns that
+// same *psm.Model without selecting, exporting or folding anything
+// (span attr fold=cached, psmd_snapshots_cached_total). Per-shard
+// completed-session counts only grow and the model is a deterministic
+// function of the closed sessions in canonical order, so equal counts
+// mean a byte-identical model. The returned model is therefore shared
+// between callers and across calls, and must not be mutated: callers
+// only read it (check.VerifyPSM, WriteJSON, WriteDOT, powersim.New).
+// Errors and cancelled snapshots are never cached.
 func (c *Coordinator) Snapshot(ctx context.Context) (*psm.Model, error) {
 	//psmlint:ignore nondet-source join-latency metric only; never reaches the model
 	start := time.Now()
+	cached := false
 	defer func() {
-		// Recorded on every outcome, including errors and cancellations —
-		// see Engine.Snapshot for why failed joins must show up here.
+		// Recorded on every outcome that ran a join, including errors and
+		// cancellations — see Engine.Snapshot for why failed joins must
+		// show up here. A cache hit ran none.
+		if cached {
+			return
+		}
 		//psmlint:ignore nondet-source join-latency metric only; never reaches the model
 		el := time.Since(start)
 		c.mJoinNanos.Add(el.Nanoseconds())
@@ -97,6 +113,12 @@ func (c *Coordinator) Snapshot(ctx context.Context) (*psm.Model, error) {
 	}
 
 	cut := c.miningCut(candidates)
+	if c.last != nil && equalInts(cut.counts, c.lastCounts) {
+		cached = true
+		c.mCached.Inc()
+		span.SetAttr("fold", "cached")
+		return c.last, nil
+	}
 	if cut.traces == 0 {
 		return nil, fmt.Errorf("shard: %w", stream.ErrNoTraces)
 	}
@@ -179,6 +201,7 @@ func (c *Coordinator) Snapshot(ctx context.Context) (*psm.Model, error) {
 	c.gPooled.Set(float64(pooled))
 	c.gServed.Set(float64(len(snap.States)))
 	span.SetAttr("states", len(snap.States))
+	c.last, c.lastCounts = snap, cut.counts
 	return snap, nil
 }
 
@@ -346,7 +369,8 @@ func (c *Coordinator) ingest() stream.Metrics {
 // sum across shards; the snapshot accounting (snapshots, rebuilds,
 // states pooled/served, join latency) is the coordinator's own — it
 // describes the global cross-shard join, the only join that runs under
-// a coordinator.
+// a coordinator. Snapshots counts models built; a snapshot that reused
+// the last model counts only in psmd_snapshots_cached_total.
 func (c *Coordinator) Metrics() stream.Metrics {
 	m := c.ingest()
 	hs := c.hJoin.Snapshot()

@@ -413,6 +413,15 @@ func (s *Session) Close() (traceIdx int, err error) {
 		return 0, fmt.Errorf("stream: session closed twice")
 	}
 	s.done = true
+	if d := s.data; d.rows > 0 && len(d.runs) > 1 {
+		// The engine holds a completed session's evidence for good: drop
+		// the slack append left in its series (a 300-record session fed
+		// in 256-record batches would otherwise keep 512 slots of each).
+		// The copies run before the engine lock is taken.
+		d.runs = exactCopy(d.runs)
+		d.power = exactCopy(d.power)
+		d.hd = exactCopy(d.hd)
+	}
 	e := s.e
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -654,6 +663,13 @@ func sameSchema(a, b []trace.Signal) bool {
 		}
 	}
 	return true
+}
+
+// exactCopy returns a copy of s whose capacity equals its length.
+func exactCopy[T any](s []T) []T {
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
 }
 
 func equalWords(a, b []uint64) bool {

@@ -202,3 +202,49 @@ func TestEngineMetricsHistogram(t *testing.T) {
 		t.Fatal("join time not recorded")
 	}
 }
+
+// TestClosedSessionHeldAtExactSize: the engine keeps a completed
+// session's evidence for the rest of its life, so Close must store its
+// signature runs, power and Hamming-distance series without the slack
+// append growth leaves — here a 300-record session fed in 256-record
+// batches, whose series would otherwise keep 512 slots.
+func TestClosedSessionHeldAtExactSize(t *testing.T) {
+	e := NewEngine(Config{Inputs: []string{"op"}, SkipCalibration: true})
+	s, err := e.Open(testSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, batch = 300, 256
+	rows := make([][]logic.Vector, n)
+	powers := make([]float64, n)
+	for i := range rows {
+		rows[i], powers[i] = rowOf(uint64(i/7)&1, uint64(i/3)&3), float64(i%5)
+	}
+	for lo := 0; lo < n; lo += batch {
+		hi := min(lo+batch, n)
+		if err := s.AppendBatch(rows[lo:hi], powers[lo:hi]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e.mu.Lock()
+	d := e.completed[0]
+	e.mu.Unlock()
+	if len(d.power) != n || len(d.hd) != n {
+		t.Fatalf("stored %d powers and %d distances, want %d", len(d.power), len(d.hd), n)
+	}
+	if len(d.runs) < 2 {
+		t.Fatalf("the session has %d signature runs; the case must change signature", len(d.runs))
+	}
+	for name, lc := range map[string][2]int{
+		"runs":  {len(d.runs), cap(d.runs)},
+		"power": {len(d.power), cap(d.power)},
+		"hd":    {len(d.hd), cap(d.hd)},
+	} {
+		if lc[0] != lc[1] {
+			t.Errorf("%s: len %d, cap %d; want len == cap", name, lc[0], lc[1])
+		}
+	}
+}

@@ -2,10 +2,12 @@
 // psmd and tracegen binaries end to end over HTTP, once with the default
 // single shard and once with -shards=4 — boot the daemon on an ephemeral
 // port, stream a generated RAM trace in, require the ack to name a
-// shard, GET /v1/model to serve a verified model, GET /metrics to report
+// shard, GET /v1/model to serve a verified model with an ETag that a
+// conditional read answers with 304, GET /metrics to report
 // the ingested record count fleet-wide (the Prometheus exposition
 // included) plus one row per shard, GET /v1/status to carry the same
-// shard rows, and shut the daemon down gracefully via SIGTERM.
+// shard rows, a second upload to make a new model generation (new ETag,
+// new body), and shut the daemon down gracefully via SIGTERM.
 //
 // It exits 0 on success and 1 with a diagnostic on any failure, so it
 // slots into `make ci` next to the test and lint gates.
@@ -101,28 +103,9 @@ func smoke(psmd, tracegen string, shards int) error {
 		return fmt.Errorf("daemon did not report its address")
 	}
 
-	// Stream a generated trace straight from tracegen's stdout into the
-	// ingest endpoint — the documented pipe, without the shell.
-	gen := exec.Command(tracegen, "-ip", "RAM", "-n", fmt.Sprint(traceInstants), "-stream")
-	stdout, err := gen.StdoutPipe()
+	body, err := uploadTrace(base, tracegen, 1)
 	if err != nil {
 		return err
-	}
-	gen.Stderr = os.Stderr
-	if err := gen.Start(); err != nil {
-		return err
-	}
-	resp, err := http.Post(base+"/v1/traces", "application/x-ndjson", stdout)
-	if err != nil {
-		return fmt.Errorf("POST /v1/traces: %v", err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err := gen.Wait(); err != nil {
-		return fmt.Errorf("tracegen: %v", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("POST /v1/traces: status %d: %s", resp.StatusCode, body)
 	}
 	var ack struct {
 		Records int  `json:"records"`
@@ -137,22 +120,29 @@ func smoke(psmd, tracegen string, shards int) error {
 	}
 
 	// The model endpoint runs the psmlint rule set before serving; a 200
-	// therefore certifies the streamed model verified clean.
-	resp, err = http.Get(base + "/v1/model")
+	// therefore certifies the streamed model verified clean. The body of
+	// a generation carries its ETag, and a conditional read naming that
+	// tag is a 304 with no body.
+	code, etag, model, err := getModel(base, "")
 	if err != nil {
 		return err
 	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /v1/model: status %d (model failed verification?): %s", resp.StatusCode, body)
+	if code != http.StatusOK {
+		return fmt.Errorf("GET /v1/model: status %d (model failed verification?): %s", code, model)
 	}
-	if !strings.Contains(string(body), `"states"`) {
-		return fmt.Errorf("GET /v1/model: no states in export: %.120s", body)
+	if !strings.Contains(string(model), `"states"`) {
+		return fmt.Errorf("GET /v1/model: no states in export: %.120s", model)
+	}
+	if etag == "" {
+		return fmt.Errorf("GET /v1/model: no ETag")
+	}
+	if code, tag, b, err := getModel(base, etag); err != nil || code != http.StatusNotModified || len(b) != 0 || tag != etag {
+		return fmt.Errorf("GET /v1/model with If-None-Match %s: status %d, ETag %q, %d body bytes, %v; want 304 with no body",
+			etag, code, tag, len(b), err)
 	}
 
 	// Metrics must account for every ingested record.
-	resp, err = http.Get(base + "/metrics")
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		return err
 	}
@@ -315,6 +305,21 @@ func smoke(psmd, tracegen string, shards int) error {
 		return fmt.Errorf("flight dump empty after traffic (%d lines, %d spans)", flightLines, flightSpans)
 	}
 
+	// Another session makes a new generation: once its ack is in, the
+	// next read (even one naming the old tag) is a 200 with a new tag and
+	// a new body.
+	if _, err := uploadTrace(base, tracegen, 2); err != nil {
+		return err
+	}
+	code, tag, next, err := getModel(base, etag)
+	if err != nil {
+		return err
+	}
+	if code != http.StatusOK || tag == "" || tag == etag || string(next) == string(model) {
+		return fmt.Errorf("GET /v1/model after a second upload: status %d, ETag %q (was %q), body changed %v; want 200 with a new tag and body",
+			code, tag, etag, string(next) != string(model))
+	}
+
 	// Graceful shutdown: SIGTERM must drain and exit 0.
 	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
 		return err
@@ -330,4 +335,51 @@ func smoke(psmd, tracegen string, shards int) error {
 		return fmt.Errorf("daemon did not exit after SIGTERM")
 	}
 	return nil
+}
+
+// uploadTrace streams a generated RAM trace straight from tracegen's
+// stdout into the ingest endpoint — the documented pipe, without the
+// shell — and returns the ack.
+func uploadTrace(base, tracegen string, seed int) ([]byte, error) {
+	gen := exec.Command(tracegen, "-ip", "RAM", "-n", fmt.Sprint(traceInstants), "-seed", fmt.Sprint(seed), "-stream")
+	stdout, err := gen.StdoutPipe()
+	if err != nil {
+		return nil, err
+	}
+	gen.Stderr = os.Stderr
+	if err := gen.Start(); err != nil {
+		return nil, err
+	}
+	resp, err := http.Post(base+"/v1/traces", "application/x-ndjson", stdout)
+	if err != nil {
+		return nil, fmt.Errorf("POST /v1/traces: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err := gen.Wait(); err != nil {
+		return nil, fmt.Errorf("tracegen: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("POST /v1/traces: status %d: %s", resp.StatusCode, body)
+	}
+	return body, nil
+}
+
+// getModel reads GET /v1/model, sending If-None-Match when inm is set,
+// and returns the status, the ETag and the body.
+func getModel(base, inm string) (int, string, []byte, error) {
+	req, err := http.NewRequest(http.MethodGet, base+"/v1/model", nil)
+	if err != nil {
+		return 0, "", nil, err
+	}
+	if inm != "" {
+		req.Header.Set("If-None-Match", inm)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return 0, "", nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, resp.Header.Get("ETag"), body, err
 }
