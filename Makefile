@@ -121,6 +121,7 @@ fuzz:
 	$(GO) test ./internal/stream -run '^$$' -fuzz FuzzWireScan -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzRegressionMerge -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/psm -run '^$$' -fuzz FuzzJoinMatchesOracle -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mining -run '^$$' -fuzz FuzzMineMatchesOracle -fuzztime $(FUZZTIME)
 
 ci: fmt vet build race lint verify fuzz psmd-smoke bench-selftest
 	@echo "ci: all gates passed"

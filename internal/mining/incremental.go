@@ -7,38 +7,124 @@ import (
 	"psmkit/internal/trace"
 )
 
-// This file is the incremental face of the miner, used by internal/stream:
-// instead of scanning a complete trace set, an Observer consumes one
-// valuation row at a time, reducing it to a packed candidate-atom truth
-// bitset and folding the row into the exact integer statistics the batch
-// filter (SelectIndices) decides on. The bitset is lossless with respect
-// to every downstream mining decision — any future kept-atom subset's
-// signature is a projection of it (ProjectSignature) — so the engine can
-// discard the raw logic vectors immediately after observing a record.
+// This file is the candidate reduction every miner runs: an Observer
+// consumes a trace's valuation rows batch by batch, reducing each row to
+// a packed candidate-atom truth bitset and folding it into the exact
+// integer statistics the filter (SelectIndices) decides on. MineParallel
+// reduces each batch trace through one, and internal/stream each psmd
+// session. The bitset is lossless with respect to every downstream mining
+// decision — any kept-atom subset's signature is a projection of it
+// (ProjectSignature) — so psmd discards the raw logic vectors right after
+// observing a record, and the batch miner never evaluates an atom twice.
 
 // SigWords returns the number of 64-bit words a packed truth bitset over
 // n atoms occupies.
 func SigWords(n int) int { return (n + 63) / 64 }
 
+// evalOp is the evaluation an atom's truth derives from: the low bit of
+// signal A, A's zero test, or the unsigned comparison of A with B.
+type evalOp uint8
+
+const (
+	opBit evalOp = iota
+	opZero
+	opCmp
+)
+
+// opOf returns the evaluation behind an atom kind and the outcome under
+// which the atom holds: opBit's outcome is the bit, opZero's is 1 for a
+// zero vector, opCmp's is the sign of Cmp. Atom.Eval is exactly
+// "outcome == want".
+func opOf(k AtomKind) (op evalOp, want int8) {
+	switch k {
+	case AtomTrue:
+		return opBit, 1
+	case AtomFalse:
+		return opBit, 0
+	case AtomZero:
+		return opZero, 1
+	case AtomNonZero:
+		return opZero, 0
+	case AtomLT:
+		return opCmp, -1
+	case AtomEQ:
+		return opCmp, 0
+	case AtomGT:
+		return opCmp, 1
+	default:
+		panic("mining: unknown atom kind")
+	}
+}
+
+// atomGroup is a run of consecutive candidates [start, end) over one
+// evaluation: a polarity pair, a zero-test pair or a comparison triple,
+// as CandidateAtoms emits them. A list that splits or reorders those
+// groups still reduces correctly, in more, smaller groups.
+type atomGroup struct {
+	op         evalOp
+	a, b       int
+	start, end int
+}
+
+// eval writes the group's outcome on every row into out.
+func (g atomGroup) eval(rows [][]logic.Vector, out []int8) {
+	switch g.op {
+	case opBit:
+		for r, row := range rows {
+			out[r] = int8(row[g.a].Bit(0))
+		}
+	case opZero:
+		for r, row := range rows {
+			out[r] = 0
+			if row[g.a].IsZero() {
+				out[r] = 1
+			}
+		}
+	default:
+		for r, row := range rows {
+			out[r] = int8(row[g.a].Cmp(row[g.b]))
+		}
+	}
+}
+
 // Observer incrementally evaluates a fixed candidate-atom set over the
-// rows of one trace. It is single-goroutine by design (one per streaming
-// session); partial statistics from several observers merge exactly via
-// MergeStats because every field of AtomStats is an exact count.
+// rows of one trace. It is single-goroutine by design (one per trace or
+// streaming session); partial statistics from several observers merge
+// exactly via MergeStats because every field of AtomStats is an exact
+// count.
 type Observer struct {
-	atoms []Atom
-	stats []AtomStats
-	prev  []bool
-	rows  int
+	atoms   []Atom
+	want    []int8 // per atom: the group outcome under which it holds
+	groups  []atomGroup
+	stats   []AtomStats
+	prev    []bool
+	rows    int
+	outcome []int8 // per-batch scratch: one group's outcome per row
 }
 
 // NewObserver returns an observer over the given candidate atoms
 // (typically CandidateAtoms of the session's schema).
 func NewObserver(atoms []Atom) *Observer {
-	return &Observer{
+	o := &Observer{
 		atoms: atoms,
+		want:  make([]int8, len(atoms)),
 		stats: make([]AtomStats, len(atoms)),
 		prev:  make([]bool, len(atoms)),
 	}
+	for i, a := range atoms {
+		op, want := opOf(a.Kind)
+		o.want[i] = want
+		b := a.B
+		if op != opCmp {
+			b = 0 // only comparisons read B
+		}
+		if n := len(o.groups); n > 0 && o.groups[n-1].op == op && o.groups[n-1].a == a.A && o.groups[n-1].b == b {
+			o.groups[n-1].end = i + 1
+			continue
+		}
+		o.groups = append(o.groups, atomGroup{op: op, a: a.A, b: b, start: i, end: i + 1})
+	}
+	return o
 }
 
 // NumAtoms returns the candidate count (the bitset width).
@@ -47,46 +133,16 @@ func (o *Observer) NumAtoms() int { return len(o.atoms) }
 // Rows returns the number of rows observed so far.
 func (o *Observer) Rows() int { return o.rows }
 
-// Observe folds one valuation row into the statistics and writes the
-// packed candidate truth bits into dst (which must hold
-// SigWords(NumAtoms()) words; a short or nil dst is reallocated). The
-// returned slice aliases dst when it was large enough.
-func (o *Observer) Observe(row []logic.Vector, dst []uint64) []uint64 {
-	words := SigWords(len(o.atoms))
-	if cap(dst) < words {
-		dst = make([]uint64, words)
-	}
-	dst = dst[:words]
-	for i := range dst {
-		dst[i] = 0
-	}
-	first := o.rows == 0
-	for i, a := range o.atoms {
-		v := a.Eval(row)
-		st := &o.stats[i]
-		if v {
-			dst[i/64] |= 1 << uint(i%64)
-			st.Held++
-			st.EverTrue = true
-		} else {
-			st.EverFalse = true
-		}
-		if !first && v != o.prev[i] {
-			st.Changes++
-		}
-		o.prev[i] = v
-	}
-	o.rows++
-	return dst
-}
-
-// ObserveBatch folds a batch of rows into the statistics at once,
-// writing row r's packed truth bits at dst[r*SigWords(NumAtoms()):].
-// It is exactly equivalent to calling Observe row by row — every
-// AtomStats field is an exact count, so increment order is immaterial —
-// but iterates atoms on the outer loop, loading each atom's metadata,
-// statistics slot and previous-value bit once per batch instead of once
-// per row. This is the batched reduction behind Session.AppendBatch.
+// ObserveBatch folds a batch of rows into the statistics, writing row
+// r's packed truth bits at dst[r*SigWords(NumAtoms()):] (a short or nil
+// dst is reallocated; the returned slice aliases dst when it was large
+// enough). Each atom group is evaluated once per row, and every atom of
+// the group reads its truth off that one outcome; the statistics then
+// accumulate per atom over the whole batch. The result is exactly that
+// of folding the rows one at a time, atom by atom, with Atom.Eval —
+// every AtomStats field is an exact count, so increment order is
+// immaterial (the package tests keep that row-by-row fold as the
+// oracle).
 func (o *Observer) ObserveBatch(rows [][]logic.Vector, dst []uint64) []uint64 {
 	words := SigWords(len(o.atoms))
 	need := words * len(rows)
@@ -94,35 +150,53 @@ func (o *Observer) ObserveBatch(rows [][]logic.Vector, dst []uint64) []uint64 {
 		dst = make([]uint64, need)
 	}
 	dst = dst[:need]
-	for i := range dst {
-		dst[i] = 0
-	}
+	clear(dst)
 	if len(rows) == 0 {
 		return dst
 	}
+	if cap(o.outcome) < len(rows) {
+		o.outcome = make([]int8, len(rows))
+	}
+	out := o.outcome[:len(rows)]
 	first := o.rows == 0
-	for i, a := range o.atoms {
-		st := &o.stats[i]
-		prev := o.prev[i]
-		word, bit := i/64, uint64(1)<<uint(i%64)
-		for r, row := range rows {
-			v := a.Eval(row)
-			if v {
-				dst[r*words+word] |= bit
-				st.Held++
-				st.EverTrue = true
-			} else {
-				st.EverFalse = true
-			}
-			if !(first && r == 0) && v != prev {
-				st.Changes++
-			}
-			prev = v
+	for _, g := range o.groups {
+		g.eval(rows, out)
+		for i := g.start; i < g.end; i++ {
+			o.fold(i, out, dst, words, first)
 		}
-		o.prev[i] = prev
 	}
 	o.rows += len(rows)
 	return dst
+}
+
+// fold accumulates atom i over one batch from its group's outcomes: the
+// atom holds on row r when out[r] is its want. On the trace's first
+// batch the first row has no predecessor and counts no change.
+func (o *Observer) fold(i int, out []int8, dst []uint64, words int, first bool) {
+	want := o.want[i]
+	prev := o.prev[i]
+	if first {
+		prev = out[0] == want
+	}
+	word, bit := i/64, uint64(1)<<uint(i%64)
+	held, changes := 0, 0
+	for r, c := range out {
+		v := c == want
+		if v {
+			dst[r*words+word] |= bit
+			held++
+		}
+		if v != prev {
+			changes++
+		}
+		prev = v
+	}
+	st := &o.stats[i]
+	st.Held += held
+	st.Changes += changes
+	st.EverTrue = st.EverTrue || held > 0
+	st.EverFalse = st.EverFalse || held < len(out)
+	o.prev[i] = prev
 }
 
 // Stats returns the per-atom statistics accumulated so far. The returned
@@ -144,8 +218,8 @@ func MergeStats(dst, src []AtomStats) {
 // ProjectSignature extracts the kept-atom signature of one row from its
 // packed candidate truth bits: bit k of the result is candidate bit
 // keptIdx[k]. Projecting the stored bitsets with the SelectIndices of the
-// full trace set reproduces exactly the signatures Mine computes over the
-// kept dictionary.
+// full trace set reproduces exactly the signature the kept dictionary
+// computes for the row (EvalRow).
 func ProjectSignature(bits []uint64, keptIdx []int) uint64 {
 	var sig uint64
 	for k, ci := range keptIdx {

@@ -15,6 +15,7 @@
 package mining
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -159,8 +160,8 @@ func (d *Dictionary) EvalRow(row []logic.Vector) int {
 
 // intern returns the proposition id for a signature, creating it if new.
 // It is single-writer by design: only the mining goroutine calls it
-// (MineParallel precomputes signatures concurrently, then replays them
-// here sequentially), which is what keeps EvalRow lock-free.
+// (MineParallel reduces the traces concurrently, then replays their
+// signatures here sequentially), which is what keeps EvalRow lock-free.
 func (d *Dictionary) intern(sig uint64) int {
 	if id, ok := d.index[sig]; ok {
 		return id
@@ -200,8 +201,8 @@ type PropTrace struct {
 // Len returns the number of instants.
 func (p *PropTrace) Len() int { return len(p.IDs) }
 
-// validateTraces checks the schema/emptiness preconditions shared by the
-// sequential and parallel miners and returns the total instant count.
+// validateTraces checks the schema/emptiness preconditions of the miner
+// and returns the total instant count.
 func validateTraces(traces []*trace.Functional) (int, error) {
 	if len(traces) == 0 {
 		return 0, fmt.Errorf("mining: no traces")
@@ -221,51 +222,20 @@ func validateTraces(traces []*trace.Functional) (int, error) {
 
 // Mine builds the proposition dictionary over a set of functional traces
 // of the same model and rewrites each trace as a proposition trace.
-// All traces must share the same signal schema.
+// All traces must share the same signal schema. It is MineParallel at
+// one worker: the same candidate reduction, on the calling goroutine.
 func Mine(traces []*trace.Functional, cfg Config) (*Dictionary, []*PropTrace, error) {
-	total, err := validateTraces(traces)
-	if err != nil {
-		return nil, nil, err
-	}
-	signals := traces[0].Signals
-
-	// Phase 1a: candidate atomic propositions.
-	candidates := candidateAtoms(signals)
-
-	// Phase 1b: frequency and stability statistics over all traces.
-	kept := filterAtoms(candidates, traces, cfg)
-	if len(kept) == 0 {
-		return nil, nil, fmt.Errorf("mining: no atomic proposition survived filtering (%d candidates over %d instants)",
-			len(candidates), total)
-	}
-
-	// Phase 2: row-wise AND composition and proposition-trace emission.
-	d := &Dictionary{
-		Signals: signals,
-		Atoms:   kept,
-		index:   map[uint64]int{},
-	}
-	out := make([]*PropTrace, len(traces))
-	for i, ft := range traces {
-		pt := &PropTrace{IDs: make([]int, ft.Len())}
-		for t := 0; t < ft.Len(); t++ {
-			pt.IDs[t] = d.intern(d.signature(ft.Row(t)))
-		}
-		out[i] = pt
-	}
-	return d, out, nil
+	return MineParallel(context.Background(), traces, cfg, 1)
 }
 
 // CandidateAtoms enumerates the relational templates over a signal set:
 // polarity atoms for 1-bit signals, zero tests for wider signals, and the
 // three comparisons for every equal-width signal pair. It is the exact
-// candidate enumeration the batch miners start from, exported so the
-// streaming engine can evaluate the same candidates record by record.
+// candidate enumeration the batch miner and the streaming engine both
+// reduce. Atoms over one operation come out adjacent (True/False of a
+// bit, Zero/NonZero of a vector, LT/EQ/GT of a pair), so
+// Observer.ObserveBatch evaluates each such group once per row.
 func CandidateAtoms(signals []trace.Signal) []Atom {
-	return candidateAtoms(signals)
-}
-
-func candidateAtoms(signals []trace.Signal) []Atom {
 	var atoms []Atom
 	for i, s := range signals {
 		if s.Width == 1 {
@@ -292,8 +262,9 @@ func candidateAtoms(signals []trace.Signal) []Atom {
 // the training traces. All fields are exact integer counts, so partial
 // statistics computed per trace (or per atom, on different workers)
 // combine into exactly the numbers a single sequential scan produces —
-// the streaming front end (internal/stream) relies on this to fold
-// per-session partials into the global filtering decision.
+// the batch miner folds its per-trace partials, and the streaming front
+// end (internal/stream) its per-session ones, into the global filtering
+// decision this way.
 type AtomStats struct {
 	Held, Changes       int
 	EverTrue, EverFalse bool
@@ -308,65 +279,9 @@ func (st *AtomStats) Merge(o AtomStats) {
 	st.EverFalse = st.EverFalse || o.EverFalse
 }
 
-// statsFor scans every trace once and returns the atom's statistics. It
-// reads only immutable trace storage and is safe to call concurrently for
-// different (or the same) atoms.
-func statsFor(a Atom, traces []*trace.Functional) AtomStats {
-	var st AtomStats
-	for _, ft := range traces {
-		prev := false
-		for t := 0; t < ft.Len(); t++ {
-			v := a.Eval(ft.Row(t))
-			if v {
-				st.Held++
-				st.EverTrue = true
-			} else {
-				st.EverFalse = true
-			}
-			if t > 0 && v != prev {
-				st.Changes++
-			}
-			prev = v
-		}
-	}
-	return st
-}
-
-// filterAtoms keeps the atoms that hold frequently and stably. Single-bit
-// polarity atoms are kept whenever they hold at least once; multi-bit
-// atoms must meet the support and run-length thresholds. At most MaxAtoms
-// survive (highest support wins, original order preserved).
-func filterAtoms(candidates []Atom, traces []*trace.Functional, cfg Config) []Atom {
-	total := 0
-	for _, ft := range traces {
-		total += ft.Len()
-	}
-	stats := make([]AtomStats, len(candidates))
-	for i, a := range candidates {
-		stats[i] = statsFor(a, traces)
-	}
-	return selectAtoms(candidates, stats, total, cfg)
-}
-
-// selectAtoms applies the support/stability thresholds and the MaxAtoms
-// cap to precomputed statistics. The decision per atom depends only on
-// that atom's stats, so the sequential and parallel miners share this
-// exact code path and keep byte-identical dictionaries.
-func selectAtoms(candidates []Atom, stats []AtomStats, total int, cfg Config) []Atom {
-	idx := SelectIndices(candidates, stats, total, cfg)
-	if idx == nil {
-		return nil
-	}
-	kept := make([]Atom, len(idx))
-	for i, ci := range idx {
-		kept[i] = candidates[ci]
-	}
-	return kept
-}
-
 // SelectIndices applies the support/stability thresholds and the MaxAtoms
 // cap to precomputed statistics, returning the indices into candidates of
-// the surviving atoms in their original order. The batch miners and the
+// the surviving atoms in their original order. The batch miner and the
 // streaming engine share this exact decision path, so a streamed trace
 // set keeps the byte-identical dictionary the batch flow would mine.
 func SelectIndices(candidates []Atom, stats []AtomStats, total int, cfg Config) []int {

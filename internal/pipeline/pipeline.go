@@ -1,8 +1,8 @@
 // Package pipeline is the concurrency layer of the PSM flow: it fans the
 // embarrassingly parallel per-trace stages of the paper's pipeline —
-// assertion mining's row evaluation, proposition-trace rewriting, the XU
-// PSMGenerator and chain simplification — out over a bounded worker pool
-// and merges the per-chain results deterministically.
+// assertion mining's candidate reduction, the XU PSMGenerator and chain
+// simplification — out over a bounded worker pool and merges the
+// per-chain results deterministically.
 //
 // Determinism is the design constraint. Every fan-out writes results into
 // index-addressed slots; the mined proposition ids are replayed

@@ -87,6 +87,15 @@ type Simulator struct {
 	inputCols []int
 	cfg       Config
 
+	// Resolved once by New, so state entries neither format assertion
+	// keys nor allocate: altObs[j][a] is the HMM observation index of
+	// state j's alternative a; opens[j] lists the propositions that can
+	// open state j (State.FirstProps); openers[p] lists, in state order,
+	// the states that proposition p can open.
+	altObs  [][]int
+	opens   [][]int
+	openers [][]int
+
 	prevRow  []logic.Vector
 	prevProp int
 	hasPrev  bool
@@ -113,8 +122,22 @@ type Simulator struct {
 func New(model *psm.Model, inputCols []int, cfg Config) *Simulator {
 	h := hmm.New(model)
 	var total stats.Moments
-	for _, s := range model.States {
-		total.Merge(s.Power)
+	altObs := make([][]int, len(model.States))
+	opens := make([][]int, len(model.States))
+	var openers [][]int
+	for j, st := range model.States {
+		total.Merge(st.Power)
+		altObs[j] = make([]int, len(st.Alts))
+		for a, alt := range st.Alts {
+			altObs[j][a] = h.Observation(alt.Seq.Key())
+		}
+		opens[j] = st.FirstProps()
+		for _, p := range opens[j] {
+			for len(openers) <= p {
+				openers = append(openers, nil)
+			}
+			openers[p] = append(openers[p], st.ID)
+		}
 	}
 	return &Simulator{
 		model:     model,
@@ -123,6 +146,9 @@ func New(model *psm.Model, inputCols []int, cfg Config) *Simulator {
 		mask:      h.Clone(),
 		inputCols: inputCols,
 		cfg:       cfg,
+		altObs:    altObs,
+		opens:     opens,
+		openers:   openers,
 		cur:       -1,
 		entryFrom: -1,
 		lastValid: -1,
@@ -325,7 +351,7 @@ func (s *Simulator) advanceCursors(prop int) bool {
 
 // opensWith reports whether state id has an alternative opening with prop.
 func (s *Simulator) opensWith(id, prop int) bool {
-	for _, p := range s.model.States[id].FirstProps() {
+	for _, p := range s.opens[id] {
 		if p == prop {
 			return true
 		}
@@ -336,23 +362,16 @@ func (s *Simulator) opensWith(id, prop int) bool {
 // bestEntry returns the best state that opens with prop according to the
 // (masked) HMM scores, or -1. from < 0 scores against π.
 func (s *Simulator) bestEntry(from, prop int) int {
+	if prop >= len(s.openers) {
+		return -1
+	}
 	best, bestScore := -1, 0.0
-	for _, st := range s.model.States {
-		opens := false
-		for _, p := range st.FirstProps() {
-			if p == prop {
-				opens = true
-				break
-			}
-		}
-		if !opens {
-			continue
-		}
-		sc := s.entryScore(from, st.ID, prop)
+	for _, id := range s.openers[prop] {
+		sc := s.entryScore(from, id, prop)
 		// Prefer any opening state over none, even with zero score (a
 		// masked or unseeded path is still better than losing sync).
 		if best < 0 || sc > bestScore {
-			best, bestScore = st.ID, sc
+			best, bestScore = id, sc
 		}
 	}
 	return best
@@ -362,12 +381,11 @@ func (s *Simulator) bestEntry(from, prop int) int {
 // observing an assertion of j that opens with prop.
 func (s *Simulator) entryScore(i, j, prop int) float64 {
 	bestObs := -1.0
-	for _, a := range s.model.States[j].Alts {
+	for ai, a := range s.model.States[j].Alts {
 		if a.Seq.Phases[0].Prop != prop {
 			continue
 		}
-		obs := s.mask.Observation(a.Seq.Key())
-		if sc := s.mask.Score(i, j, obs); sc > bestObs {
+		if sc := s.mask.Score(i, j, s.altObs[j][ai]); sc > bestObs {
 			bestObs = sc
 		}
 	}

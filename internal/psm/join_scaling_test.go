@@ -38,8 +38,7 @@ func joinFixpointScan(mg *merger, m *Model, alias map[int]int) {
 // before the worklist engine landed. A provenance log on ctx records
 // every probe of the scan, re-probes after each collapse included.
 func joinPooledScan(ctx context.Context, m *Model, policy MergePolicy) *Model {
-	mg := newMerger(ctx, policy, phaseJoin, -1)
-	mg.memo = nil
+	mg := newMerger(ctx, policy, phaseJoin, -1, nil)
 	alias := map[int]int{}
 	joinPhase1(&mg, m, alias)
 	joinFixpointScan(&mg, m, alias)
@@ -217,7 +216,7 @@ func TestJoinProvenanceFollowsWorklist(t *testing.T) {
 
 	// Phase 1 alone, counted: its probe count and its survivors.
 	reg := obs.NewRegistry()
-	mg := newMerger(obs.WithRegistry(context.Background(), reg), policy, phaseJoin, -1)
+	mg := newMerger(obs.WithRegistry(context.Background(), reg), policy, phaseJoin, -1, nil)
 	p1 := CloneModel(pooled)
 	joinPhase1(&mg, p1, map[int]int{})
 	phase1Checks := reg.Snapshot().Counters["psm_merge_checks_total"]

@@ -19,7 +19,7 @@ import (
 // folding only cₖ₊₁'s states. A Joiner persists exactly that fold: the
 // kept states with their pooled evidence, the phase-1-resolved
 // aggregated transitions, and the surviving initials. Add folds one new
-// chain in O(|chain| · kept) memoized checks; Snapshot clones the kept
+// chain in O(|chain| · kept) checks; Snapshot clones the kept
 // states cheaply and runs only the order-dependent fixpoint on the
 // clone. Neither operation revisits previously pooled states, so the
 // steady-state snapshot cost is a function of the number of distinct
@@ -40,7 +40,7 @@ type Joiner struct {
 	// memo caches mergeability verdicts across Add calls and snapshots
 	// within one epoch; Reset clears it together with the fold, so the
 	// memo's accounting (and its memory) always belongs to the current
-	// epoch.
+	// epoch. It is nil in JoinCtx's one-shot Joiner.
 	memo *EvalMemo
 	dict *mining.Dictionary
 	// kept holds the phase-1 survivors in adoption order (the fixpoint's
@@ -59,7 +59,7 @@ type Joiner struct {
 
 // NewJoiner returns an empty incremental join for one merge policy.
 func NewJoiner(policy MergePolicy) *Joiner {
-	return NewJoinerMemo(NewEvalMemo(policy))
+	return newJoiner(policy, NewEvalMemo(policy))
 }
 
 // NewJoinerMemo returns an empty incremental join that reads and fills
@@ -69,8 +69,14 @@ func NewJoiner(policy MergePolicy) *Joiner {
 // takes a fresh Joiner per call — changes only the evaluation count,
 // never the model. Reset clears the memo too.
 func NewJoinerMemo(memo *EvalMemo) *Joiner {
+	return newJoiner(memo.Policy(), memo)
+}
+
+// newJoiner returns an empty incremental join deciding through memo
+// (nil: every check evaluates the policy).
+func newJoiner(policy MergePolicy, memo *EvalMemo) *Joiner {
 	return &Joiner{
-		policy:   memo.Policy(),
+		policy:   policy,
 		memo:     memo,
 		transIdx: make(map[transKey]int),
 		initials: make(map[int]int),
@@ -92,7 +98,9 @@ func (j *Joiner) Reset() {
 	j.transIdx = make(map[transKey]int)
 	j.initials = make(map[int]int)
 	j.pooled = 0
-	j.memo.Reset()
+	if j.memo != nil {
+		j.memo.Reset()
+	}
 }
 
 // Policy returns the joiner's merge policy.
@@ -103,7 +111,11 @@ func (j *Joiner) Policy() MergePolicy { return j.policy }
 func (j *Joiner) Pooled() int { return j.pooled }
 
 // SetMemoLimit bounds the verdict memo (see EvalMemo.SetLimit).
-func (j *Joiner) SetMemoLimit(n int) { j.memo.SetLimit(n) }
+func (j *Joiner) SetMemoLimit(n int) {
+	if j.memo != nil {
+		j.memo.SetLimit(n)
+	}
+}
 
 // Memo exposes the verdict memo's counters (for benchmarks and tests).
 func (j *Joiner) Memo() *EvalMemo { return j.memo }
@@ -114,8 +126,7 @@ func (j *Joiner) Memo() *EvalMemo { return j.memo }
 // modified. The context's merge counters tick and its provenance log
 // records here.
 func (j *Joiner) Add(ctx context.Context, c *Chain) {
-	mg := newMerger(ctx, j.policy, phaseJoin, -1)
-	mg.memo = j.memo
+	mg := newMerger(ctx, j.policy, phaseJoin, -1, j.memo)
 
 	if j.dict == nil {
 		j.dict = c.Dict
@@ -202,8 +213,7 @@ func sharedClone(s *State) *State {
 // snapshot's collapses need chasing.
 func (j *Joiner) Snapshot(ctx context.Context) *Model {
 	_, span := obs.Start(ctx, "collapse", obs.KV("states_in", len(j.kept)))
-	mg := newMerger(ctx, j.policy, phaseJoin, -1)
-	mg.memo = j.memo
+	mg := newMerger(ctx, j.policy, phaseJoin, -1, j.memo)
 
 	m := &Model{
 		Dict:        j.dict,

@@ -194,8 +194,12 @@ func relDiff(a, b float64) float64 {
 // {p_i; p_{i+1}; …; p_{i+j}} and whose power attributes cover the union
 // of the merged intervals. It returns a new chain; the input is not
 // modified.
+//
+// The pass memoizes its verdicts per chain: its restart passes re-examine
+// unchanged adjacent pairs, and a memoized verdict is exact (see
+// EvalMemo).
 func Simplify(c *Chain, policy MergePolicy) *Chain {
-	return simplifyWith(plainMerger(policy, phaseSimplify, c.Trace), c)
+	return simplifyWith(merger{policy: policy, phase: phaseSimplify, trace: c.Trace, memo: NewEvalMemo(policy)}, c)
 }
 
 // simplifyWith is Simplify routed through a merger, so SimplifyCtx can
@@ -345,9 +349,9 @@ func (h *pairHeap) pop() pairItem {
 // (entry positions) order the heap: removals never reorder survivors,
 // so rank order and slice-position order agree at every step, and the
 // popped pair is exactly the pair the restart scan would find next.
-// Per collapse the work drops from O(n²) re-evaluations to O(n) probes
-// (mostly memo hits), taking the fixpoint from ~O(n³) Evaluate calls to
-// O(n²) verdict lookups overall.
+// Per collapse the work drops from O(n²) re-evaluations to O(n) probes,
+// taking the fixpoint from ~O(n³) Evaluate calls to O(n²) overall (a
+// memoized merger turns most re-probes into memo hits).
 //
 // A provenance log gets this engine's own order: the seeding pass's
 // rejections, then per collapse its accept and the re-probe's
@@ -424,10 +428,9 @@ func collapseWorklist(mg *merger, m *Model, alias map[int]int) {
 // merges never reaches a fit (see Calibrate).
 func mergeStates(alias, initials map[int]int, a, b *State) {
 	for _, alt := range b.Alts {
-		key := alt.Seq.Key()
 		merged := false
 		for k := range a.Alts {
-			if a.Alts[k].Seq.Key() == key {
+			if sameAssertion(a.Alts[k].Seq, alt.Seq) {
 				a.Alts[k].Count += alt.Count
 				merged = true
 				break

@@ -18,7 +18,7 @@ const (
 
 // merger bundles a MergePolicy with the observation sinks of one merge
 // pass: the provenance log the decisions are recorded into and the
-// per-case merge counters. A merger without sinks (plainMerger, or a
+// per-case merge counters. A merger without sinks (Simplify's, or a
 // context carrying neither) decides through the policy's plain boolean
 // path — the instrumented and uninstrumented passes share one decision
 // implementation (MergePolicy.Evaluate), so observing a run cannot
@@ -27,9 +27,8 @@ type merger struct {
 	policy MergePolicy
 	phase  string
 	trace  int
-	// memo caches Evaluate verdicts by moments pair; nil forces every
-	// check to recompute (the unmemoized configuration the join scaling
-	// gate's restart-scan oracle runs).
+	// memo caches Evaluate verdicts by moments pair; nil makes every
+	// check recompute (the configuration of a one-shot JoinCtx).
 	memo   *EvalMemo
 	prov   *obs.ProvenanceLog
 	checks *obs.Counter    // one tick per mergeability probe
@@ -37,17 +36,10 @@ type merger struct {
 	cases  [4]*obs.Counter // indexed by MergeOutcome.Case, 1..3; ticks per collapse
 }
 
-// plainMerger is the sink-free merger of the non-context entry points.
-// Even without observation sinks it memoizes verdicts: Simplify's
-// restart passes and the join fixpoint's re-probes re-examine unchanged
-// pairs constantly, and a memoized verdict is exact (see EvalMemo).
-func plainMerger(policy MergePolicy, phase string, traceIdx int) merger {
-	return merger{policy: policy, phase: phase, trace: traceIdx, memo: NewEvalMemo(policy)}
-}
-
-// newMerger attaches the context's provenance log and registry, if any.
-func newMerger(ctx context.Context, policy MergePolicy, phase string, traceIdx int) merger {
-	mg := plainMerger(policy, phase, traceIdx)
+// newMerger returns a merger deciding through memo (nil: unmemoized),
+// with the context's provenance log and registry attached, if any.
+func newMerger(ctx context.Context, policy MergePolicy, phase string, traceIdx int, memo *EvalMemo) merger {
+	mg := merger{policy: policy, phase: phase, trace: traceIdx, memo: memo}
 	mg.prov = obs.ProvenanceFrom(ctx)
 	if reg := obs.RegistryFrom(ctx); reg != nil {
 		mg.checks = reg.Counter("psm_merge_checks_total")
@@ -153,7 +145,7 @@ func GenerateCtx(ctx context.Context, dict *mining.Dictionary, pt *mining.PropTr
 // identical to Simplify's for any context.
 func SimplifyCtx(ctx context.Context, c *Chain, policy MergePolicy) *Chain {
 	_, span := obs.Start(ctx, "simplify", obs.KV("trace", c.Trace), obs.KV("states_in", len(c.States)))
-	out := simplifyWith(newMerger(ctx, policy, phaseSimplify, c.Trace), c)
+	out := simplifyWith(newMerger(ctx, policy, phaseSimplify, c.Trace, NewEvalMemo(policy)), c)
 	span.SetAttr("states_out", len(out.States))
 	span.End()
 	return out
@@ -164,13 +156,19 @@ func SimplifyCtx(ctx context.Context, c *Chain, policy MergePolicy) *Chain {
 // through a fresh Joiner and snapshots it, so the join's fixpoint runs
 // in a "collapse" span nested under "join". The produced model is
 // identical to Join's for any context.
+//
+// The Joiner carries no verdict memo: one fold and one snapshot re-ask
+// too few verdicts to repay growing a fresh memo map, so every check
+// runs MergePolicy.Evaluate and psm_merge_evals_total equals
+// psm_merge_checks_total. psmd's persistent Joiner, which reuses its
+// verdicts across snapshots, keeps its memo.
 func JoinCtx(ctx context.Context, chains []*Chain, policy MergePolicy) *Model {
 	if len(chains) == 0 {
 		return &Model{Initials: map[int]int{}}
 	}
 	ctx, span := obs.Start(ctx, "join", obs.KV("chains", len(chains)))
 	defer span.End()
-	j := NewJoiner(policy)
+	j := newJoiner(policy, nil)
 	for _, c := range chains {
 		j.Add(ctx, c)
 	}

@@ -109,9 +109,10 @@ func collapse(m *Model, alias map[int]int, ai, bi int) {
 
 // joinPooled runs phase 1 and the worklist fixpoint on a pooled model,
 // mutating and returning it, with the context's provenance log and
-// merge counters attached.
-func joinPooled(ctx context.Context, m *Model, policy MergePolicy) *Model {
-	mg := newMerger(ctx, policy, phaseJoin, -1)
+// merge counters attached. Verdicts go through memo; nil runs every
+// check unmemoized, as JoinCtx does.
+func joinPooled(ctx context.Context, m *Model, policy MergePolicy, memo *EvalMemo) *Model {
+	mg := newMerger(ctx, policy, phaseJoin, -1, memo)
 	alias := map[int]int{}
 	joinPhase1(&mg, m, alias)
 	collapseWorklist(&mg, m, alias)
@@ -120,12 +121,35 @@ func joinPooled(ctx context.Context, m *Model, policy MergePolicy) *Model {
 	return m
 }
 
-// joinOracle is the parent's Join: Pool, then joinPooled.
+// joinOracle is the parent's Join: Pool, then joinPooled, unmemoized
+// like JoinCtx.
 func joinOracle(ctx context.Context, chains []*Chain, policy MergePolicy) *Model {
 	if len(chains) == 0 {
 		return &Model{Initials: map[int]int{}}
 	}
-	return joinPooled(ctx, Pool(chains), policy)
+	return joinPooled(ctx, Pool(chains), policy, nil)
+}
+
+// joinOracleMemo is joinOracle with one verdict memo shared by phase 1
+// and the fixpoint — the configuration of psmd's persistent Joiner.
+func joinOracleMemo(ctx context.Context, chains []*Chain, policy MergePolicy) *Model {
+	if len(chains) == 0 {
+		return &Model{Initials: map[int]int{}}
+	}
+	return joinPooled(ctx, Pool(chains), policy, NewEvalMemo(policy))
+}
+
+// foldJoin folds the chains, in order, through one memoized NewJoiner
+// and snapshots it — psmd's join configuration.
+func foldJoin(ctx context.Context, chains []*Chain, policy MergePolicy) *Model {
+	if len(chains) == 0 {
+		return &Model{Initials: map[int]int{}}
+	}
+	j := NewJoiner(policy)
+	for _, c := range chains {
+		j.Add(ctx, c)
+	}
+	return j.Snapshot(ctx)
 }
 
 // joinRun is one observed join: the model, its canonical provenance
@@ -163,28 +187,40 @@ func observedJoin(t testing.TB, join func(context.Context) *Model) joinRun {
 // CheckJoinMatchesOracle requires production JoinCtx to equal the
 // pooled oracle on chains under policy: a deep-equal model, a
 // byte-equal provenance log and equal psm_merge_* counters against
-// Pool + phase 1 + worklist, and a deep-equal model against Pool +
-// phase 1 + the unmemoized restart scan. It never modifies the chains.
+// Pool + phase 1 + worklist, both unmemoized; the same three against
+// the memoized oracle for a memoized NewJoiner fold (psmd's
+// configuration); and a deep-equal model against Pool + phase 1 + the
+// unmemoized restart scan. It never modifies the chains.
 func CheckJoinMatchesOracle(t testing.TB, chains []*Chain, policy MergePolicy) {
 	t.Helper()
 	got := observedJoin(t, func(ctx context.Context) *Model { return JoinCtx(ctx, chains, policy) })
 	want := observedJoin(t, func(ctx context.Context) *Model { return joinOracle(ctx, chains, policy) })
-	if !reflect.DeepEqual(want.model, got.model) {
-		t.Fatalf("JoinCtx model diverges from the pooled oracle: %d states %d transitions, want %d states %d transitions",
-			len(got.model.States), len(got.model.Transitions), len(want.model.States), len(want.model.Transitions))
-	}
-	if !bytes.Equal(want.log, got.log) {
-		t.Fatalf("JoinCtx provenance log diverges from the pooled oracle (%d vs %d bytes)", len(got.log), len(want.log))
-	}
-	if !reflect.DeepEqual(want.counters, got.counters) {
-		t.Fatalf("JoinCtx merge counters %v, pooled oracle %v", got.counters, want.counters)
-	}
+	checkSameJoin(t, "JoinCtx", got, want)
+	gotMemo := observedJoin(t, func(ctx context.Context) *Model { return foldJoin(ctx, chains, policy) })
+	wantMemo := observedJoin(t, func(ctx context.Context) *Model { return joinOracleMemo(ctx, chains, policy) })
+	checkSameJoin(t, "memoized Joiner", gotMemo, wantMemo)
 	if len(chains) == 0 {
 		return
 	}
 	if scan := joinPooledScan(context.Background(), Pool(chains), policy); !reflect.DeepEqual(scan, got.model) {
 		t.Fatalf("JoinCtx model diverges from the restart-scan oracle: %d states, want %d",
 			len(got.model.States), len(scan.States))
+	}
+}
+
+// checkSameJoin requires a join run to equal its oracle's: the model,
+// the provenance log and the psm_merge_* counters.
+func checkSameJoin(t testing.TB, name string, got, want joinRun) {
+	t.Helper()
+	if !reflect.DeepEqual(want.model, got.model) {
+		t.Fatalf("%s model diverges from the pooled oracle: %d states %d transitions, want %d states %d transitions",
+			name, len(got.model.States), len(got.model.Transitions), len(want.model.States), len(want.model.Transitions))
+	}
+	if !bytes.Equal(want.log, got.log) {
+		t.Fatalf("%s provenance log diverges from the pooled oracle (%d vs %d bytes)", name, len(got.log), len(want.log))
+	}
+	if !reflect.DeepEqual(want.counters, got.counters) {
+		t.Fatalf("%s merge counters %v, pooled oracle %v", name, got.counters, want.counters)
 	}
 }
 
@@ -267,7 +303,7 @@ func TestJoinPooledIdempotent(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		once := JoinCtx(ctx, randMergeChains(rng), DefaultMergePolicy())
-		twice := joinPooled(ctx, CloneModel(once), DefaultMergePolicy())
+		twice := joinPooled(ctx, CloneModel(once), DefaultMergePolicy(), nil)
 		if !reflect.DeepEqual(once, twice) {
 			t.Fatalf("seed %d: a pooled pass over a joined model is not the identity", seed)
 		}

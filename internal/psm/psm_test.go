@@ -3,6 +3,7 @@ package psm
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -569,6 +570,27 @@ func TestSequenceKeyAndString(t *testing.T) {
 	s2 := Sequence{Phases: []Phase{{Prop: 3, Kind: Until}, {Prop: 1, Kind: Until}}}
 	if s.Key() == s2.Key() {
 		t.Error("different kinds produced equal keys")
+	}
+}
+
+// TestSameAssertionMatchesKey: join merges alternatives by value, so
+// sameAssertion must be exactly Key equality — over random cascades of
+// every length, including a pattern kind outside Until/Next (which Key
+// renders as X).
+func TestSameAssertionMatchesKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	seq := func() Sequence {
+		s := Sequence{Phases: make([]Phase, rng.Intn(4))}
+		for i := range s.Phases {
+			s.Phases[i] = Phase{Prop: rng.Intn(3), Kind: PatternKind(rng.Intn(3))}
+		}
+		return s
+	}
+	for i := 0; i < 5000; i++ {
+		a, b := seq(), seq()
+		if got, want := sameAssertion(a, b), a.Key() == b.Key(); got != want {
+			t.Fatalf("sameAssertion(%q, %q) = %v, keys equal %v", a.Key(), b.Key(), got, want)
+		}
 	}
 }
 

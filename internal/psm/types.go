@@ -22,6 +22,7 @@ package psm
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"psmkit/internal/mining"
@@ -61,18 +62,38 @@ type Sequence struct {
 	Phases []Phase
 }
 
-// Key returns a canonical identity for the sequence, used to detect
-// duplicate assertions when join collapses states (they feed the HMM's B
-// matrix).
+// Key returns a canonical identity for the sequence — "3U;1X" for
+// {(p3)U ; (p1)X} — naming the HMM's observation symbols (its B matrix
+// columns). Two sequences have equal keys exactly when sameAssertion
+// holds.
 func (s Sequence) Key() string {
-	var sb strings.Builder
+	b := make([]byte, 0, 4*len(s.Phases))
 	for i, p := range s.Phases {
 		if i > 0 {
-			sb.WriteByte(';')
+			b = append(b, ';')
 		}
-		fmt.Fprintf(&sb, "%d%s", p.Prop, p.Kind)
+		b = strconv.AppendInt(b, int64(p.Prop), 10)
+		b = append(b, p.Kind.String()...)
 	}
-	return sb.String()
+	return string(b)
+}
+
+// sameAssertion reports whether two sequences are one assertion: the
+// same length and, phase by phase, the same proposition and the same
+// pattern (Until, or not). It is the equality Key encodes, without
+// building either string — join compares every pair of alternatives it
+// pools.
+func sameAssertion(a, b Sequence) bool {
+	if len(a.Phases) != len(b.Phases) {
+		return false
+	}
+	for i, p := range a.Phases {
+		q := b.Phases[i]
+		if p.Prop != q.Prop || (p.Kind == Until) != (q.Kind == Until) {
+			return false
+		}
+	}
+	return true
 }
 
 // String renders the sequence with the dictionary's proposition names.
@@ -148,17 +169,6 @@ func (s *State) FirstProps() []int {
 		}
 	}
 	return out
-}
-
-// HasAlt reports whether the state carries an alternative with the given
-// sequence key.
-func (s *State) HasAlt(key string) bool {
-	for _, a := range s.Alts {
-		if a.Seq.Key() == key {
-			return true
-		}
-	}
-	return false
 }
 
 // Transition is a PSM edge: leaving From for To when the Enabling

@@ -128,7 +128,7 @@ func (s *Session) Append(row []logic.Vector, power float64) error {
 		}
 	}
 
-	sig := s.obs.Observe(row, nil)
+	sig := s.obs.ObserveBatch([][]logic.Vector{row}, nil)
 	d := s.data
 	if n := len(d.runs); n > 0 && equalWords(d.runs[n-1].sig, sig) {
 		d.runs[n-1].n++

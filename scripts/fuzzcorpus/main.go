@@ -1,8 +1,10 @@
 // Command fuzzcorpus (re)generates the committed seed corpora of
 // FuzzWireScan (internal/stream/testdata/fuzz/FuzzWireScan),
-// FuzzRegressionMerge (internal/stats/testdata/fuzz/FuzzRegressionMerge)
-// and FuzzJoinMatchesOracle
-// (internal/psm/testdata/fuzz/FuzzJoinMatchesOracle), in the native Go
+// FuzzRegressionMerge (internal/stats/testdata/fuzz/FuzzRegressionMerge),
+// FuzzJoinMatchesOracle
+// (internal/psm/testdata/fuzz/FuzzJoinMatchesOracle) and
+// FuzzMineMatchesOracle
+// (internal/mining/testdata/fuzz/FuzzMineMatchesOracle), in the native Go
 // fuzzing corpus-file format. Run from the repo root:
 //
 //	go run ./scripts/fuzzcorpus
@@ -13,8 +15,10 @@
 // exact cancellation, a constant regressor and every special value. The
 // FuzzJoinMatchesOracle seeds cover each merge policy, one to six
 // chains, and every sample shape (next-states, small and heavy noisy
-// runs, constant pairs). `go test` replays every corpus even without
-// -fuzz.
+// runs, constant pairs). The FuzzMineMatchesOracle seeds cover more
+// than 64 candidates, comparison triples and polarity pairs, a 130-bit
+// bus, the MaxAtoms cap, and single-row, constant and one-trace sets.
+// `go test` replays every corpus even without -fuzz.
 package main
 
 import (
@@ -49,6 +53,60 @@ func main() {
 	write(filepath.Join("internal", "stream", "testdata", "fuzz", "FuzzWireScan"), seeds)
 	write(filepath.Join("internal", "stats", "testdata", "fuzz", "FuzzRegressionMerge"), regressionSeeds())
 	write(filepath.Join("internal", "psm", "testdata", "fuzz", "FuzzJoinMatchesOracle"), joinSeeds())
+	write(filepath.Join("internal", "mining", "testdata", "fuzz", "FuzzMineMatchesOracle"), mineSeeds())
+}
+
+// mineSeeds encodes FuzzMineMatchesOracle inputs: the signal count minus
+// one, the config index (0 default, 1 relaxed, 2 keep-all), one width
+// byte per signal (b%6 picks 1, 1, 4, 8, 8 or 130 bits), then one
+// (a, b) pair per row — a ≥ 0xF0 starts a new trace, otherwise signal
+// a%n takes the value b.
+func mineSeeds() map[string]string {
+	// rows draws n deterministic row pairs over nsig signals that change
+	// one signal at a time, with a new trace every `every` rows (0 = one
+	// trace) and values below `span`, so runs and comparisons both vary.
+	rows := func(n, nsig, every int, span byte, seed uint32) []byte {
+		var b []byte
+		x := seed | 1
+		next := func() byte {
+			x ^= x << 13
+			x ^= x >> 17
+			x ^= x << 5
+			return byte(x)
+		}
+		for i := 0; i < n; i++ {
+			if every > 0 && i > 0 && i%every == 0 {
+				b = append(b, 0xF0)
+				b = append(b, 0)
+			}
+			b = append(b, byte(int(next())%nsig), next()%span)
+		}
+		return b
+	}
+	input := func(cfg byte, widths []byte, body []byte) string {
+		b := append([]byte{byte(len(widths) - 1), cfg}, widths...)
+		return string(append(b, body...))
+	}
+	repeat := func(w byte, n int) []byte {
+		out := make([]byte, n)
+		for i := range out {
+			out[i] = w
+		}
+		return out
+	}
+	mixed := []byte{0, 0, 2, 2, 3, 3, 4}
+	return map[string]string{
+		"mixed_default":   input(0, mixed, rows(120, 7, 0, 255, 1)),
+		"mixed_relaxed":   input(1, mixed, rows(120, 7, 40, 16, 2)),
+		"many_candidates": input(0, repeat(3, 12), rows(200, 12, 70, 8, 3)),
+		"keep_all_cap":    input(2, repeat(2, 9), rows(150, 9, 50, 4, 4)),
+		"wide_bus":        input(1, []byte{0, 5, 5, 5, 1}, rows(160, 5, 55, 255, 5)),
+		"polarity_only":   input(0, repeat(0, 6), rows(100, 6, 0, 2, 6)),
+		"single_row":      input(0, mixed, []byte{2, 5}),
+		"constant":        input(0, mixed, rows(40, 1, 0, 1, 7)),
+		"one_row_traces":  input(1, mixed, []byte{0, 1, 0xF0, 0, 2, 3, 0xF0, 0, 4, 9}),
+		"max_rows":        input(2, repeat(5, 16), rows(520, 16, 300, 255, 8)),
+	}
 }
 
 // joinSeeds encodes FuzzJoinMatchesOracle inputs: a policy byte, then
