@@ -62,9 +62,7 @@ func main() {
 	shardTimeout := flag.Duration("shard-enqueue-timeout", 0, "how long an append may block on a saturated shard before a 429 load-shed (0 = shard package default)")
 	retryAfter := flag.Duration("retry-after", 0, "Retry-After hint on open-session-cap 429s (0 = 1s)")
 	maxLine := flag.Int("max-line-bytes", 1<<20, "NDJSON line length limit for uploads")
-	ingestBatch := flag.Int("ingest-batch", 256, "records per ingest batch (amortizes the atom-signature reduction)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines for snapshot rebuilds (model is identical for any value)")
-	joinMemo := flag.Int("join-memo", 0, "merge-verdict memo entry bound for the incremental join (0 = package default)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
 	tracePath := flag.String("trace", "", "write NDJSON span events (ingest, snapshot, join) to this file; prints the span summary at shutdown")
 	logLevel := flag.String("log-level", "info", "minimum log level (debug|info|warn|error)")
@@ -91,13 +89,11 @@ func main() {
 	cfg.Stream.Calibration = psm.CalibrationPolicy{MaxCV: *maxCV, MinR: *minR}
 	cfg.Stream.MaxRecords = *maxRecords
 	cfg.Stream.MaxOpenSessions = *maxSessions
-	cfg.Stream.JoinMemoEntries = *joinMemo
 	cfg.Shards = *shards
 	cfg.ShardQueueDepth = *shardQueue
 	cfg.ShardEnqueueTimeout = *shardTimeout
 	cfg.RetryAfter = *retryAfter
 	cfg.MaxLineBytes = *maxLine
-	cfg.IngestBatch = *ingestBatch
 	cfg.Flight = flight
 	cfg.Log = logger
 	cfg.SLO = serve.SLOConfig{IngestP99Ms: *sloIngestP99, ErrorRate: *sloErrorRate}

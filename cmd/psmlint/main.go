@@ -13,22 +13,14 @@
 // tooling).
 //
 // Layer 2 — code linting: a stdlib-only multi-pass go/ast+go/types
-// driver with cross-package taint facts (package internal/lint). Rules
-// cover float equality, unguarded float division, dropped errors, the
-// metrics facade, restart-scan merge fixpoints, map-iteration order
-// reaching serialized output, nondeterministic sources in model code,
-// mutexes held across blocking work, and context hygiene:
+// driver with cross-package taint facts (package internal/lint). Its
+// four rules cover float equality, unguarded float division, dropped
+// errors, and map-iteration order reaching serialized output:
 //
-//	psmlint code [-rules id,id] [-sarif out.sarif] [-baseline file] [-write-baseline] ./...
+//	psmlint code [packages]    (default ./...)
 //
-// -baseline grandfathers the findings recorded in a committed JSON
-// baseline (only new findings fail); -write-baseline rewrites that file
-// from the current findings; -sarif emits a SARIF 2.1.0 report for CI
-// code-scanning upload.
-//
-// Exit codes: 0 clean (baselined findings may remain), 1 findings
-// (model: Error severity; code: any non-baselined), 2 usage or load
-// failure.
+// Exit codes: 0 clean, 1 findings (model: Error severity; code: any),
+// 2 usage or load failure.
 package main
 
 import (
@@ -51,7 +43,7 @@ func main() {
 func usage(stderr io.Writer) int {
 	fmt.Fprintln(stderr, `usage:
   psmlint model [-min-r r] [-tol t] [-all] <model.psm|model.json>...
-  psmlint code [-rules id,id] [-sarif file] [-baseline file] [-write-baseline] [packages...]`)
+  psmlint code [packages...]`)
 	return 2
 }
 
@@ -142,99 +134,20 @@ func loadDoc(path string) (*check.Model, error) {
 func runCode(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("psmlint code", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	rules := fs.String("rules", "", "comma-separated rule ids to run (default: all)")
-	sarifPath := fs.String("sarif", "", "write a SARIF 2.1.0 report to this file ('-' for stdout)")
-	baselinePath := fs.String("baseline", "", "grandfather findings recorded in this baseline file; only new findings fail")
-	writeBaseline := fs.Bool("write-baseline", false, "rewrite the -baseline file from the current findings and exit 0")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-
-	var cfg lint.Config
-	if *rules != "" {
-		cfg.Rules = strings.Split(*rules, ",")
-	}
-	findings, err := lint.RunConfig(".", patterns, cfg)
+	findings, err := lint.Run(".", fs.Args())
 	if err != nil {
 		fmt.Fprintf(stderr, "psmlint: %v\n", err)
 		return 2
 	}
-	root, rootErr := lint.FindModuleRoot(".")
-	if rootErr != nil {
-		root = ""
-	}
-
-	if *sarifPath != "" {
-		ran := lint.Rules()
-		if len(cfg.Rules) > 0 {
-			ran = ran[:0]
-			for _, id := range cfg.Rules {
-				if r, ok := lint.RuleByID(strings.TrimSpace(id)); ok {
-					ran = append(ran, r)
-				}
-			}
-		}
-		var w io.Writer = stdout
-		if *sarifPath != "-" {
-			f, err := os.Create(*sarifPath)
-			if err != nil {
-				fmt.Fprintf(stderr, "psmlint: %v\n", err)
-				return 2
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := lint.WriteSARIF(w, findings, ran, root); err != nil {
-			fmt.Fprintf(stderr, "psmlint: %v\n", err)
-			return 2
-		}
-	}
-
-	if *writeBaseline {
-		if *baselinePath == "" {
-			fmt.Fprintln(stderr, "psmlint: -write-baseline requires -baseline")
-			return 2
-		}
-		b := lint.NewBaseline(findings, root)
-		if err := b.Save(*baselinePath); err != nil {
-			fmt.Fprintf(stderr, "psmlint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "psmlint: baselined %d findings to %s\n", len(findings), *baselinePath)
-		return 0
-	}
-
-	grandfathered := 0
-	if *baselinePath != "" {
-		b, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "psmlint: %v\n", err)
-			return 2
-		}
-		all := findings
-		findings, grandfathered = b.Filter(all, root)
-		for _, e := range b.Stale(all, root) {
-			fmt.Fprintf(stdout, "psmlint: baseline entry fixed (remove it): [%s] %s: %s\n", e.Rule, e.File, e.Msg)
-		}
-	}
-
 	for _, f := range findings {
 		fmt.Fprintln(stdout, f)
 	}
 	if len(findings) > 0 {
-		if grandfathered > 0 {
-			fmt.Fprintf(stdout, "psmlint: %d new findings (%d baselined)\n", len(findings), grandfathered)
-		} else {
-			fmt.Fprintf(stdout, "psmlint: %d findings\n", len(findings))
-		}
+		fmt.Fprintf(stdout, "psmlint: %d findings\n", len(findings))
 		return 1
-	}
-	if grandfathered > 0 {
-		fmt.Fprintf(stdout, "psmlint: clean (%d baselined findings remain)\n", grandfathered)
 	}
 	return 0
 }

@@ -47,15 +47,6 @@ func (s *FactStore) Tainted(fn *types.Func) (TaintFact, bool) {
 	return f, ok
 }
 
-// TaintedFuncs returns every recorded fact (diagnostics, tests).
-func (s *FactStore) TaintedFuncs() []TaintFact {
-	out := make([]TaintFact, 0, len(s.tainted))
-	for _, f := range s.tainted {
-		out = append(out, f)
-	}
-	return out
-}
-
 // ComputeFacts runs the fact pass over every loaded package, iterating
 // to a fixpoint so facts flow through call chains (A returns B's
 // map-ordered result) and across packages in either direction. The

@@ -1,26 +1,21 @@
 // Package lint is the code layer of psmlint: a standard-library-only
 // static analysis driver (go/parser, go/ast, go/types — no external
-// deps) with rules tuned to this numeric, determinism-obsessed
+// deps) with four rules tuned to this numeric, determinism-obsessed
 // codebase:
 //
-//	float-eq      naked ==/!= between floating-point expressions
-//	nan-guard     float division whose denominator has no zero guard
-//	err-drop      call statements discarding an error result
-//	obs-metrics   expvar imported outside internal/obs (the metrics facade)
-//	merge-fixpoint  restart-scan merge fixpoints over .States outside internal/psm
-//	map-order     map-iteration order reaching serialized output unsorted
-//	nondet-source time.Now / unseeded math/rand / os.Getenv in model code
-//	mutex-held-blocking  mutexes held across blocking work; lost unlocks
-//	ctx-hygiene   unstoppable goroutines; dropped/shadowed contexts
-//	obs-logging   ad-hoc stderr logging in serving-path packages (use obs.Logger)
+//	float-eq   naked ==/!= between floating-point expressions
+//	nan-guard  float division whose denominator has no zero guard
+//	err-drop   call statements discarding an error result
+//	map-order  map-iteration order reaching serialized output unsorted
 //
 // The driver is multi-pass and whole-program within the module:
 //
 //	pass 1 — load: package directories parse in parallel (the file set
 //	         is concurrency-safe) and type-check serially in import
-//	         order through a module-aware importer;
+//	         order through a module-aware importer; the standard
+//	         library comes from the toolchain's compiled export data;
 //	pass 2 — facts: every loaded package (targets and their in-module
-//	         dependencies alike) exports per-function facts — today the
+//	         dependencies alike) exports per-function facts — the
 //	         map-order taint facts, "calling F yields a value whose
 //	         element order derives from a map iteration" — iterated to
 //	         a fixpoint so taint flows through call chains and across
@@ -37,11 +32,6 @@
 // or the line above:
 //
 //	//psmlint:ignore <rule-id> [reason]
-//
-// Machine-readable output (sarif.go) and the committed findings
-// baseline (baseline.go) turn the linter into a CI gate: new findings
-// fail the build while grandfathered ones stay tracked in
-// .psmlint-baseline.json until they are fixed.
 package lint
 
 import (
@@ -49,6 +39,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -71,44 +62,23 @@ type Rule interface {
 	// ID is the stable identifier reported in findings and honored by
 	// //psmlint:ignore directives.
 	ID() string
-	// Doc is a one-line description of what the rule catches (SARIF
-	// rule metadata, README table).
-	Doc() string
 	// Check appends findings for one package. env carries the
 	// cross-package analysis state (module layout, fact store).
 	Check(p *Package, env *Env) []Finding
 }
 
-// Rules returns every registered code rule, ordered by id.
+// Rules returns every code rule, ordered by id.
 func Rules() []Rule {
 	return []Rule{
-		ctxHygieneRule{},
 		errDropRule{},
 		floatEqRule{},
 		mapOrderRule{},
-		mergeFixpointRule{},
-		mutexHeldRule{},
 		nanGuardRule{},
-		nondetSourceRule{},
-		obsLoggingRule{},
-		obsMetricsRule{},
 	}
-}
-
-// RuleByID returns the registered rule with the given id.
-func RuleByID(id string) (Rule, bool) {
-	for _, r := range Rules() {
-		if r.ID() == id {
-			return r, true
-		}
-	}
-	return nil, false
 }
 
 // Package is one loaded, type-checked package.
 type Package struct {
-	Path  string
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Info  *types.Info
@@ -120,7 +90,6 @@ type Package struct {
 // facts pass populated over every loaded package.
 type Env struct {
 	ModRoot string
-	ModPath string
 	Facts   *FactStore
 }
 
@@ -131,59 +100,27 @@ func (e *Env) posLabel(p token.Position) string {
 	return fmt.Sprintf("%s:%d", relativeURI(e.ModRoot, p.Filename), p.Line)
 }
 
-// Config tunes a driver run.
-type Config struct {
-	// Rules selects rule ids to run; empty runs every registered rule.
-	// Unknown ids are a load error.
-	Rules []string
-	// Parallelism bounds the worker goroutines of the parse and rule
-	// passes; <= 0 selects GOMAXPROCS.
-	Parallelism int
+// relativeURI renders path relative to root with forward slashes, or
+// path itself when it lies outside root.
+func relativeURI(root, path string) string {
+	if root != "" {
+		if rel, err := filepath.Rel(root, path); err == nil && !isDotDot(rel) {
+			return filepath.ToSlash(rel)
+		}
+	}
+	return filepath.ToSlash(path)
 }
 
-func (c Config) workers() int {
-	if c.Parallelism > 0 {
-		return c.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-func (c Config) rules() ([]Rule, error) {
-	if len(c.Rules) == 0 {
-		return Rules(), nil
-	}
-	var out []Rule
-	for _, id := range c.Rules {
-		id = strings.TrimSpace(id)
-		if id == "" {
-			continue
-		}
-		r, ok := RuleByID(id)
-		if !ok {
-			return nil, fmt.Errorf("lint: unknown rule %q", id)
-		}
-		out = append(out, r)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("lint: no rules selected")
-	}
-	return out, nil
+func isDotDot(rel string) bool {
+	return rel == ".." || len(rel) >= 3 && rel[:3] == "../"
 }
 
 // Run loads the packages matched by patterns (relative to root, which
-// must lie inside a module) and applies every registered rule.
-// Findings are sorted by position.
+// must lie inside a module) and applies every rule. Findings are sorted
+// by position.
 func Run(root string, patterns []string) ([]Finding, error) {
-	return RunConfig(root, patterns, Config{})
-}
-
-// RunConfig is Run with driver configuration (rule selection,
-// parallelism bound).
-func RunConfig(root string, patterns []string, cfg Config) ([]Finding, error) {
-	rules, err := cfg.rules()
-	if err != nil {
-		return nil, err
-	}
+	rules := Rules()
+	workers := runtime.GOMAXPROCS(0)
 	l, err := newLoader(root)
 	if err != nil {
 		return nil, err
@@ -196,7 +133,7 @@ func RunConfig(root string, patterns []string, cfg Config) ([]Finding, error) {
 	// Pass 1 — load. Parsing fans out (the token.FileSet synchronizes
 	// internally); type-checking stays serial because the import graph
 	// orders it.
-	l.parseAll(dirs, cfg.workers())
+	l.parseAll(dirs, workers)
 	var targets []*Package
 	for _, dir := range dirs {
 		pkg, err := l.loadDir(dir)
@@ -212,7 +149,7 @@ func RunConfig(root string, patterns []string, cfg Config) ([]Finding, error) {
 	// Pass 2 — facts, over every loaded package (in-module dependencies
 	// included: cross-package taint needs the callee's facts even when
 	// its package was not named in the patterns).
-	env := &Env{ModRoot: l.modRoot, ModPath: l.modPath, Facts: NewFactStore()}
+	env := &Env{ModRoot: l.modRoot, Facts: NewFactStore()}
 	ComputeFacts(l.loaded(), env)
 
 	// Pass 3 — rules, fanned out per target package. Each package has
@@ -222,7 +159,7 @@ func RunConfig(root string, patterns []string, cfg Config) ([]Finding, error) {
 		mu       sync.Mutex
 		findings []Finding
 		wg       sync.WaitGroup
-		sem      = make(chan struct{}, cfg.workers())
+		sem      = make(chan struct{}, workers)
 	)
 	for _, pkg := range targets {
 		wg.Add(1)

@@ -253,111 +253,3 @@ func Earlier(a, b float64) bool { return a == b }
 		t.Fatalf("findings not sorted by file: %v", fs)
 	}
 }
-
-func TestMergeFixpointRule(t *testing.T) {
-	root := writeModule(t, map[string]string{
-		"go.mod": goMod,
-		// Restart-the-world fixpoint: flagged once, at the driver loop.
-		"joiner/a.go": `package joiner
-
-type State struct{ Power float64 }
-
-type Model struct{ States []*State }
-
-func mergeable(a, b *State) bool { return a.Power <= b.Power }
-
-func Collapse(m *Model) {
-	for {
-		merged := false
-		for i := range m.States {
-			for j := i + 1; j < len(m.States); j++ {
-				if mergeable(m.States[i], m.States[j]) {
-					m.States = append(m.States[:j], m.States[j+1:]...)
-					merged = true
-					break
-				}
-			}
-		}
-		if !merged {
-			return
-		}
-	}
-}
-
-// A single pair scan with no restart driver is legitimate.
-func CountPairs(m *Model) int {
-	n := 0
-	for i := range m.States {
-		for j := i + 1; j < len(m.States); j++ {
-			n++
-		}
-	}
-	return n
-}
-`,
-		// The blessed engine's home is exempt even when it restart-scans.
-		"internal/psm/psm.go": `package psm
-
-type Model struct{ States []int }
-
-func Scan(m *Model) {
-	for {
-		for range m.States {
-			for range m.States {
-			}
-		}
-		return
-	}
-}
-`,
-	})
-	fs, err := Run(root, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits := rulesHit(fs)
-	if hits["merge-fixpoint"] != 1 {
-		t.Fatalf("want 1 merge-fixpoint finding (Collapse driver loop), got %d: %v",
-			hits["merge-fixpoint"], fs)
-	}
-	for _, f := range fs {
-		if f.Rule == "merge-fixpoint" && strings.Contains(f.Pos.Filename, "internal/psm") {
-			t.Fatalf("internal/psm must be exempt, got %v", f)
-		}
-	}
-}
-
-func TestObsMetricsRule(t *testing.T) {
-	root := writeModule(t, map[string]string{
-		"go.mod": goMod,
-		"serve/a.go": `package serve
-
-import "expvar"
-
-var hits = expvar.NewInt("hits")
-`,
-		"blank/b.go": `package blank
-
-import _ "expvar"
-`,
-		"internal/obs/obs.go": `package obs
-
-import "expvar"
-
-func Do(f func(expvar.KeyValue)) { expvar.Do(f) }
-`,
-	})
-	fs, err := Run(root, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits := rulesHit(fs)
-	if hits["obs-metrics"] != 2 {
-		t.Fatalf("want 2 obs-metrics findings (serve, blank import), got %d: %v", hits["obs-metrics"], fs)
-	}
-	for _, f := range fs {
-		if f.Rule == "obs-metrics" && strings.Contains(f.Pos.Filename, "internal/obs") {
-			t.Fatalf("internal/obs must be exempt, got %v", f)
-		}
-	}
-}

@@ -1,9 +1,6 @@
 package lint
 
 import (
-	"bytes"
-	"encoding/json"
-	"go/token"
 	"strings"
 	"testing"
 )
@@ -276,474 +273,5 @@ func Save(w io.Writer, m *Model) error {
 	}
 	if !strings.Contains(f.Msg, "Initials") || !strings.Contains(f.Msg, "map[int]int") {
 		t.Fatalf("finding must name the Initials map field, got %q", f.Msg)
-	}
-}
-
-// --- nondet-source -----------------------------------------------------------
-
-func TestNondetSourceRule(t *testing.T) {
-	root := writeModule(t, map[string]string{
-		"go.mod": goMod,
-		"internal/psm/model.go": `package psm
-
-import (
-	"math/rand"
-	"os"
-	"time"
-)
-
-func BadClock() int64 { return time.Now().UnixNano() }
-
-func BadRand() int { return rand.Intn(10) }
-
-func BadEnv() string { return os.Getenv("PSM_SEED") }
-
-// A seeded generator is reproducible: constructors and methods pass.
-func OkSeeded() int {
-	r := rand.New(rand.NewSource(42))
-	return r.Intn(10)
-}
-
-// Allowlisted wall-clock read.
-func OkAllowed() int64 {
-	//psmlint:ignore nondet-source startup banner only
-	return time.Now().Unix()
-}
-`,
-		"util/clock.go": `package util
-
-import "time"
-
-// Outside the model-construction scope: not this rule's business.
-func Stamp() int64 { return time.Now().Unix() }
-`,
-	})
-	fs, err := Run(root, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var nondet []Finding
-	for _, f := range fs {
-		if f.Rule == "nondet-source" {
-			nondet = append(nondet, f)
-		}
-	}
-	if len(nondet) != 3 {
-		t.Fatalf("want 3 nondet-source findings (BadClock, BadRand, BadEnv), got %d: %v", len(nondet), nondet)
-	}
-	for _, f := range nondet {
-		if strings.Contains(f.Pos.Filename, "util/") {
-			t.Fatalf("util package is out of scope, got %v", f)
-		}
-	}
-}
-
-// --- mutex-held-blocking -----------------------------------------------------
-
-func TestMutexHeldBlockingRule(t *testing.T) {
-	root := writeModule(t, map[string]string{
-		"go.mod": goMod,
-		"a.go": `package a
-
-import (
-	"sync"
-	"time"
-)
-
-type policy struct{}
-
-func (policy) EvaluateMerge(a, b int) bool { return a < b }
-
-type S struct {
-	mu  sync.Mutex
-	rw  sync.RWMutex
-	ch  chan int
-	pol policy
-}
-
-func (s *S) BadSend() {
-	s.mu.Lock()
-	s.ch <- 1
-	s.mu.Unlock()
-}
-
-func (s *S) BadSleep() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	time.Sleep(time.Millisecond)
-}
-
-func (s *S) BadEvaluate() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pol.EvaluateMerge(1, 2)
-}
-
-func (s *S) BadEarlyReturn(x bool) {
-	s.mu.Lock()
-	if x {
-		return
-	}
-	s.mu.Unlock()
-}
-
-func (s *S) BadLeak() {
-	s.mu.Lock()
-}
-
-func (s *S) OkPlain() int {
-	s.mu.Lock()
-	v := 1
-	s.mu.Unlock()
-	s.ch <- v
-	return v
-}
-
-func (s *S) OkDefer() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return 1
-}
-
-func (s *S) OkEarlyUnlock(x bool) {
-	s.mu.Lock()
-	if x {
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Unlock()
-}
-
-// Read lock pairs with RUnlock, independent of the write lock.
-func (s *S) OkRead() int {
-	s.rw.RLock()
-	defer s.rw.RUnlock()
-	return 1
-}
-`,
-	})
-	fs, err := Run(root, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mutex []Finding
-	for _, f := range fs {
-		if f.Rule == "mutex-held-blocking" {
-			mutex = append(mutex, f)
-		}
-	}
-	if len(mutex) != 5 {
-		t.Fatalf("want 5 mutex-held-blocking findings (send, sleep, evaluate, early return, leak), got %d: %v", len(mutex), mutex)
-	}
-	joined := func() string {
-		var b strings.Builder
-		for _, f := range mutex {
-			b.WriteString(f.Msg)
-			b.WriteByte('\n')
-		}
-		return b.String()
-	}()
-	for _, want := range []string{"channel send", "time.Sleep", "Evaluate-class", "still locked", "no matching unlock"} {
-		if !strings.Contains(joined, want) {
-			t.Fatalf("missing %q finding in:\n%s", want, joined)
-		}
-	}
-}
-
-// --- ctx-hygiene -------------------------------------------------------------
-
-func TestCtxHygieneGoroutines(t *testing.T) {
-	root := writeModule(t, map[string]string{
-		"go.mod": goMod,
-		"a.go": `package a
-
-import "context"
-
-func compute() {}
-
-// Unstoppable: loops forever, observes nothing.
-func Bad() {
-	go func() {
-		for {
-			compute()
-		}
-	}()
-}
-
-// A select over ctx.Done is a stop signal.
-func OkSelect(ctx context.Context, ch chan int) {
-	go func() {
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ch:
-				compute()
-			}
-		}
-	}()
-}
-
-// A loop bounded by its condition is stoppable.
-func OkCond(ctx context.Context) {
-	go func() {
-		for ctx.Err() == nil {
-			compute()
-		}
-	}()
-}
-
-// Ranging a channel terminates on close.
-func OkRange(ch chan int) {
-	go func() {
-		for range ch {
-			compute()
-		}
-	}()
-}
-`,
-	})
-	fs, err := Run(root, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ctx []Finding
-	for _, f := range fs {
-		if f.Rule == "ctx-hygiene" {
-			ctx = append(ctx, f)
-		}
-	}
-	if len(ctx) != 1 {
-		t.Fatalf("want 1 ctx-hygiene finding (Bad goroutine), got %d: %v", len(ctx), ctx)
-	}
-	if !strings.Contains(ctx[0].Msg, "no stop signal") {
-		t.Fatalf("unexpected message %q", ctx[0].Msg)
-	}
-}
-
-func TestCtxHygieneDroppedAndShadowed(t *testing.T) {
-	root := writeModule(t, map[string]string{
-		"go.mod": goMod,
-		"serve/serve.go": `package serve
-
-import "context"
-
-func work(ctx context.Context) error { return ctx.Err() }
-
-// Exported entry point in a serving package that ignores its context.
-func Drops(ctx context.Context, n int) int { return n + 1 }
-
-// Replaces the caller's context with a fresh root: cancellation severed.
-func Shadows(ctx context.Context) error {
-	ctx = context.Background()
-	return work(ctx)
-}
-
-func OkPlumbed(ctx context.Context) error { return work(ctx) }
-
-// Underscore declares "intentionally unused" and passes.
-func OkDiscarded(_ context.Context, n int) int { return n }
-
-// unexported helpers are not entry points.
-func drops(ctx context.Context, n int) int { return n }
-`,
-		"util/u.go": `package util
-
-import "context"
-
-// Outside serve/stream/pipeline the entry-point audit does not apply.
-func Drops(ctx context.Context, n int) int { return n }
-`,
-	})
-	fs, err := Run(root, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ctx []Finding
-	for _, f := range fs {
-		if f.Rule == "ctx-hygiene" {
-			ctx = append(ctx, f)
-		}
-	}
-	if len(ctx) != 2 {
-		t.Fatalf("want 2 ctx-hygiene findings (Drops, Shadows), got %d: %v", len(ctx), ctx)
-	}
-	joined := ctx[0].Msg + "\n" + ctx[1].Msg
-	if !strings.Contains(joined, "drops its context.Context") || !strings.Contains(joined, "shadows its context.Context") {
-		t.Fatalf("want one dropped and one shadowed finding, got:\n%s", joined)
-	}
-}
-
-// --- driver config -----------------------------------------------------------
-
-func TestRunConfigRuleSelection(t *testing.T) {
-	root := writeModule(t, map[string]string{
-		"go.mod": goMod,
-		"a.go": `package a
-
-func mayFail() error { return nil }
-
-func Bad(a, b float64) bool {
-	mayFail()
-	return a == b
-}
-`,
-	})
-	fs, err := RunConfig(root, []string{"./..."}, Config{Rules: []string{"float-eq"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fs) != 1 || fs[0].Rule != "float-eq" {
-		t.Fatalf("rule selection must run only float-eq, got %v", fs)
-	}
-	if _, err := RunConfig(root, []string{"./..."}, Config{Rules: []string{"no-such-rule"}}); err == nil {
-		t.Fatal("unknown rule id must be a load error")
-	}
-}
-
-func TestRulesHaveDocs(t *testing.T) {
-	seen := map[string]bool{}
-	for _, r := range Rules() {
-		if r.ID() == "" || r.Doc() == "" {
-			t.Fatalf("rule %T missing ID or Doc", r)
-		}
-		if seen[r.ID()] {
-			t.Fatalf("duplicate rule id %q", r.ID())
-		}
-		seen[r.ID()] = true
-	}
-	for _, id := range []string{"map-order", "nondet-source", "mutex-held-blocking", "ctx-hygiene"} {
-		if !seen[id] {
-			t.Fatalf("missing registered rule %q", id)
-		}
-	}
-}
-
-// --- baseline ----------------------------------------------------------------
-
-func testFinding(rule, file string, line int, msg string) Finding {
-	return Finding{Rule: rule, Pos: token.Position{Filename: file, Line: line, Column: 1}, Msg: msg}
-}
-
-func TestBaselineFilter(t *testing.T) {
-	old := []Finding{
-		testFinding("float-eq", "/repo/a.go", 10, "floating-point == comparison"),
-		testFinding("err-drop", "/repo/b.go", 20, "error returned by f is dropped"),
-	}
-	b := NewBaseline(old, "/repo")
-
-	// Same findings, shifted lines: all grandfathered.
-	moved := []Finding{
-		testFinding("float-eq", "/repo/a.go", 99, "floating-point == comparison"),
-		testFinding("err-drop", "/repo/b.go", 1, "error returned by f is dropped"),
-	}
-	fresh, grandfathered := b.Filter(moved, "/repo")
-	if len(fresh) != 0 || grandfathered != 2 {
-		t.Fatalf("line moves must stay baselined, got fresh=%v grandfathered=%d", fresh, grandfathered)
-	}
-
-	// A second instance of a baselined message exceeds the count: fresh.
-	dup := append(moved, testFinding("float-eq", "/repo/a.go", 120, "floating-point == comparison"))
-	fresh, grandfathered = b.Filter(dup, "/repo")
-	if len(fresh) != 1 || grandfathered != 2 {
-		t.Fatalf("count overflow must surface, got fresh=%v grandfathered=%d", fresh, grandfathered)
-	}
-
-	// A new rule/file/message is always fresh.
-	fresh, _ = b.Filter([]Finding{testFinding("map-order", "/repo/c.go", 5, "new hazard")}, "/repo")
-	if len(fresh) != 1 {
-		t.Fatalf("new finding must be fresh, got %v", fresh)
-	}
-}
-
-func TestBaselineStaleAndRoundTrip(t *testing.T) {
-	old := []Finding{
-		testFinding("float-eq", "/repo/a.go", 10, "msg-a"),
-		testFinding("err-drop", "/repo/b.go", 20, "msg-b"),
-	}
-	b := NewBaseline(old, "/repo")
-
-	stale := b.Stale([]Finding{old[0]}, "/repo")
-	if len(stale) != 1 || stale[0].Rule != "err-drop" {
-		t.Fatalf("fixed finding must be reported stale, got %v", stale)
-	}
-
-	var buf bytes.Buffer
-	if err := b.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var decoded Baseline
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded.Version != 1 || len(decoded.Findings) != 2 {
-		t.Fatalf("round trip lost data: %+v", decoded)
-	}
-	// Entries are key-sorted (rule first), so err-drop/b.go leads.
-	if decoded.Findings[0].File != "b.go" || decoded.Findings[1].File != "a.go" {
-		t.Fatalf("baseline paths must be root-relative and key-sorted, got %+v", decoded.Findings)
-	}
-}
-
-// --- SARIF -------------------------------------------------------------------
-
-func TestWriteSARIFShape(t *testing.T) {
-	findings := []Finding{
-		testFinding("map-order", "/repo/x.go", 7, "order leak"),
-	}
-	var buf bytes.Buffer
-	if err := WriteSARIF(&buf, findings, Rules(), "/repo"); err != nil {
-		t.Fatal(err)
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID    string `json:"ruleId"`
-				RuleIndex int    `json:"ruleIndex"`
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine int `json:"startLine"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &log); err != nil {
-		t.Fatal(err)
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 {
-		t.Fatalf("bad SARIF envelope: %s", buf.String())
-	}
-	run := log.Runs[0]
-	if run.Tool.Driver.Name != "psmlint" || len(run.Tool.Driver.Rules) != len(Rules()) {
-		t.Fatalf("driver metadata must list every rule, got %+v", run.Tool.Driver)
-	}
-	if len(run.Results) != 1 {
-		t.Fatalf("want 1 result, got %+v", run.Results)
-	}
-	res := run.Results[0]
-	if res.RuleID != "map-order" {
-		t.Fatalf("bad ruleId %q", res.RuleID)
-	}
-	if got := run.Tool.Driver.Rules[res.RuleIndex].ID; got != "map-order" {
-		t.Fatalf("ruleIndex %d points at %q, want map-order", res.RuleIndex, got)
-	}
-	loc := res.Locations[0].PhysicalLocation
-	if loc.ArtifactLocation.URI != "x.go" || loc.Region.StartLine != 7 {
-		t.Fatalf("bad location %+v", loc)
 	}
 }

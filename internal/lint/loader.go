@@ -51,7 +51,7 @@ func newLoader(root string) (*loader, error) {
 		fset:    fset,
 		modRoot: modRoot,
 		modPath: modPath,
-		std:     importer.ForCompiler(fset, "source", nil),
+		std:     importer.ForCompiler(fset, "gc", nil),
 		parsed:  map[string]*parsedDir{},
 		pkgs:    map[string]*loadedPkg{},
 		byPath:  map[string]*types.Package{},
@@ -98,13 +98,6 @@ func findModule(dir string) (string, string, error) {
 			return "", "", fmt.Errorf("lint: no go.mod above %s", abs)
 		}
 	}
-}
-
-// FindModuleRoot resolves the module root enclosing dir (the directory
-// findings, baselines and SARIF artifact URIs are reported relative to).
-func FindModuleRoot(dir string) (string, error) {
-	root, _, err := findModule(dir)
-	return root, err
 }
 
 // expand resolves package patterns ("./...", "dir", "dir/...") into
@@ -233,7 +226,9 @@ func (l *loader) parseDir(dir string) *parsedDir {
 }
 
 // Import implements types.Importer: module-internal paths load from the
-// module tree, everything else delegates to the source importer.
+// module tree, everything else from the toolchain's compiled export
+// data (type-checking the standard library from source would cost
+// several seconds per run).
 func (l *loader) Import(path string) (*types.Package, error) {
 	if path == "C" {
 		return nil, fmt.Errorf("lint: cgo is not supported")
@@ -296,7 +291,7 @@ func (l *loader) loadDir(dir string) (*Package, error) {
 		Error:    func(error) {}, // tolerate: rules skip unresolved types
 	}
 	tpkg, _ := conf.Check(importPath, l.fset, pd.files, info)
-	pkg := &Package{Path: importPath, Dir: dir, Fset: l.fset, Files: pd.files, Info: info, Types: tpkg}
+	pkg := &Package{Fset: l.fset, Files: pd.files, Info: info, Types: tpkg}
 	l.pkgs[dir] = &loadedPkg{pkg: pkg}
 	if tpkg != nil {
 		l.byPath[importPath] = tpkg

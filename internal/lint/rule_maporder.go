@@ -26,10 +26,6 @@ type mapOrderRule struct{}
 
 func (mapOrderRule) ID() string { return "map-order" }
 
-func (mapOrderRule) Doc() string {
-	return "map iteration order reaching serialized output (writers, encoders, hashes, gob maps) without an intervening sort"
-}
-
 func (mapOrderRule) Check(p *Package, env *Env) []Finding {
 	var out []Finding
 	for _, f := range p.Files {

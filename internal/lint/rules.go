@@ -6,7 +6,6 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // isFloat reports whether the expression's resolved type is a floating-
@@ -81,10 +80,6 @@ type floatEqRule struct{}
 
 func (floatEqRule) ID() string { return "float-eq" }
 
-func (floatEqRule) Doc() string {
-	return "naked ==/!= between floating-point expressions (tolerance or IsNaN/IsInf required)"
-}
-
 func (floatEqRule) Check(p *Package, env *Env) []Finding {
 	var out []Finding
 	for _, f := range p.Files {
@@ -131,10 +126,6 @@ func (floatEqRule) Check(p *Package, env *Env) []Finding {
 type nanGuardRule struct{}
 
 func (nanGuardRule) ID() string { return "nan-guard" }
-
-func (nanGuardRule) Doc() string {
-	return "float division whose denominator has no zero/NaN guard in the enclosing function"
-}
 
 func (nanGuardRule) Check(p *Package, env *Env) []Finding {
 	var out []Finding
@@ -343,10 +334,6 @@ func errDropAllowed(info *types.Info, call *ast.CallExpr) bool {
 	return false
 }
 
-func (errDropRule) Doc() string {
-	return "statement-position calls silently discarding an error result"
-}
-
 func (errDropRule) Check(p *Package, env *Env) []Finding {
 	var out []Finding
 	for _, f := range p.Files {
@@ -379,137 +366,4 @@ func (errDropRule) Check(p *Package, env *Env) []Finding {
 		})
 	}
 	return out
-}
-
-// --- obs-metrics ------------------------------------------------------------
-
-// obsMetricsRule keeps the metrics surface unified: psmkit/internal/obs
-// is the module's single metrics facade (registry, Prometheus/expvar
-// exposition), so importing expvar anywhere else — including blank
-// imports for its side-effect handler — reintroduces the scattered
-// ad-hoc counters the obs layer replaced. Packages outside the module
-// (lint fixtures under another module path) are judged by the same
-// "internal/obs" suffix, so the rule is module-name independent.
-type obsMetricsRule struct{}
-
-func (obsMetricsRule) ID() string { return "obs-metrics" }
-
-func (obsMetricsRule) Doc() string {
-	return "expvar imported outside internal/obs, the module's single metrics facade"
-}
-
-func (obsMetricsRule) Check(p *Package, env *Env) []Finding {
-	if p.Path == "internal/obs" || strings.HasSuffix(p.Path, "/internal/obs") {
-		return nil
-	}
-	var out []Finding
-	for _, f := range p.Files {
-		for _, imp := range f.Imports {
-			if imp.Path.Value != `"expvar"` {
-				continue
-			}
-			out = append(out, Finding{
-				Rule: "obs-metrics",
-				Pos:  p.Fset.Position(imp.Pos()),
-				Msg:  "expvar imported outside internal/obs; register metrics through the obs registry instead",
-			})
-		}
-	}
-	return out
-}
-
-// --- merge-fixpoint ----------------------------------------------------------
-
-// mergeFixpointRule flags restart-the-world merge fixpoints: an outer
-// loop that re-runs a quadratic pair scan over a model's .States slice
-// after every mutation, paying O(n²) merge evaluations per collapse
-// (~O(n³) total). The one join engine lives in internal/psm — psm.Joiner,
-// a version-stamped worklist plus verdict memo that produces the
-// identical model with O(n) re-probes per collapse — so state merging
-// anywhere else should go through psm.Join / psm.Joiner rather than
-// reimplementing the scan. internal/psm itself is exempt as the join
-// engine's home; its restart scan survives only as the oracle of its
-// differential tests and join scaling gate, in _test.go files, which
-// the linter does not load.
-type mergeFixpointRule struct{}
-
-func (mergeFixpointRule) ID() string { return "merge-fixpoint" }
-
-func (mergeFixpointRule) Doc() string {
-	return "restart-scan merge fixpoints over .States outside internal/psm (use the worklist join engine)"
-}
-
-func (mergeFixpointRule) Check(p *Package, env *Env) []Finding {
-	if p.Path == "internal/psm" || strings.HasSuffix(p.Path, "/internal/psm") {
-		return nil
-	}
-	var out []Finding
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var pos token.Pos
-			var body *ast.BlockStmt
-			switch l := n.(type) {
-			case *ast.ForStmt:
-				pos, body = l.For, l.Body
-			case *ast.RangeStmt:
-				pos, body = l.For, l.Body
-			default:
-				return true
-			}
-			if statesScanDepth(body) >= 2 {
-				out = append(out, Finding{
-					Rule: "merge-fixpoint",
-					Pos:  p.Fset.Position(pos),
-					Msg: "restart-scan merge fixpoint over .States (O(n³) evaluations); " +
-						"use the worklist join engine (psm.Join / psm.Joiner) instead",
-				})
-				return false // one finding per fixpoint, not per nesting level
-			}
-			return true
-		})
-	}
-	return out
-}
-
-// statesScanDepth returns the maximum nesting depth of loops inside body
-// that iterate a .States slice — a range over it, or a counted for loop
-// whose condition mentions it (i < len(m.States)). A depth of 2 under an
-// enclosing loop is the restart-fixpoint shape the rule flags; a bare
-// pair scan (depth 2 with no driver loop around it) is not.
-func statesScanDepth(body ast.Node) int {
-	depth := 0
-	ast.Inspect(body, func(n ast.Node) bool {
-		var scan ast.Expr
-		var inner *ast.BlockStmt
-		switch l := n.(type) {
-		case *ast.RangeStmt:
-			scan, inner = l.X, l.Body
-		case *ast.ForStmt:
-			scan, inner = l.Cond, l.Body
-		default:
-			return true
-		}
-		d := statesScanDepth(inner)
-		if scan != nil && mentionsStates(scan) {
-			d++
-		}
-		if d > depth {
-			depth = d
-		}
-		return false // inner loops handled by the recursive call
-	})
-	return depth
-}
-
-// mentionsStates reports whether the expression selects a field or
-// method named States (m.States, x.pool.States, len(m.States), ...).
-func mentionsStates(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "States" {
-			found = true
-		}
-		return !found
-	})
-	return found
 }

@@ -58,9 +58,8 @@ type logEvent struct {
 }
 
 // Logger is the structured, leveled NDJSON event logger the serving
-// path uses instead of ad-hoc stderr writes (the psmlint obs-logging
-// rule enforces the substitution in cmd/psmd, internal/serve and
-// internal/stream). One event is one JSON object on one line:
+// path uses instead of ad-hoc stderr writes. One event is one JSON
+// object on one line:
 //
 //	{"ts_ns":1700000000000,"level":"info","msg":"serving","attrs":{"addr":"127.0.0.1:8080"}}
 //

@@ -422,8 +422,7 @@ func sortedKeys[V any](m map[string]V) []string {
 // own sections (sorted by name) followed by every process-global expvar
 // — cmdline, memstats, whatever else is registered. This is the
 // module's single expvar access point: servers inject their per-engine
-// sections here instead of contending over the global expvar namespace
-// (the psmlint obs-metrics rule keeps it that way).
+// sections here instead of contending over the global expvar namespace.
 func WriteExpvarJSON(w io.Writer, extra map[string]interface{}) error {
 	if _, err := fmt.Fprintf(w, "{\n"); err != nil {
 		return err

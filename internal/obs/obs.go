@@ -14,8 +14,7 @@
 //     exported as NDJSON events plus an aggregated per-run summary tree.
 //   - Registry (metrics.go): named counters, gauges and histograms with
 //     point-in-time snapshots, Prometheus text and expvar-style JSON
-//     export. This package is the module's only expvar importer — the
-//     psmlint obs-metrics rule enforces it.
+//     export. This package is the module's only expvar importer.
 //   - ProvenanceLog (provenance.go): one record per mergeability
 //     decision (Section IV-A), canonically ordered so parallel and
 //     sequential runs over the same traces produce identical logs.

@@ -55,7 +55,6 @@ func Calibrate(m *Model, fts []*trace.Functional, pws []*trace.Power, inputCols 
 // calibrate is Calibrate, also returning the number of per-instant
 // samples it walked (0 when every candidate state carried its sums).
 func calibrate(m *Model, fts []*trace.Functional, pws []*trace.Power, inputCols []int, policy CalibrationPolicy) (fits, walked int) {
-	var hds [][]float64 // per-trace input Hamming distances, computed lazily
 	var walk stats.Regression
 	for _, s := range m.States {
 		if s.Power.N < 3 || s.Power.CoefficientOfVariation() <= policy.MaxCV {
@@ -68,13 +67,11 @@ func calibrate(m *Model, fts []*trace.Functional, pws []*trace.Power, inputCols 
 				if iv.Trace < 0 || iv.Trace >= len(fts) || iv.Trace >= len(pws) {
 					continue
 				}
-				if hds == nil {
-					hds = make([][]float64, len(fts))
-				}
-				if hds[iv.Trace] == nil {
-					hds[iv.Trace] = fts[iv.Trace].InputHammingDistance(inputCols)
-				}
-				walked += addInterval(&walk, iv, hds[iv.Trace], pws[iv.Trace].Values)
+				// Distances are computed at the added instants only; an
+				// instant belongs to at most one state, so none repeats.
+				ft := fts[iv.Trace]
+				hd := func(t int) float64 { return float64(ft.InputHammingDistanceAt(t, inputCols)) }
+				walked += addInterval(&walk, iv, ft.Len(), hd, pws[iv.Trace].Values)
 			}
 			acc = &walk
 		}
@@ -103,33 +100,26 @@ func calibrate(m *Model, fts []*trace.Functional, pws []*trace.Power, inputCols 
 // session's chain once, from the series it accumulated record by record
 // (its Hamming distances are stored as integer bit counts).
 func CarryCalibration[H uint32 | float64](c *Chain, hd []H, power []float64) {
+	at := func(t int) float64 { return float64(hd[t]) }
 	for _, s := range c.States {
 		s.Calib = &stats.Regression{}
 		for _, iv := range s.Intervals {
 			if iv.Trace == c.Trace {
-				addInterval(s.Calib, iv, hd, power)
+				addInterval(s.Calib, iv, len(hd), at, power)
 			}
 		}
 	}
 }
 
-// addInterval adds the (hd[t], power[t]) pairs of one interval, clipped
-// to the series, to acc and returns how many it added.
-func addInterval[H uint32 | float64](acc *stats.Regression, iv Interval, hd []H, power []float64) int {
-	stop := iv.Stop
-	if stop >= len(hd) {
-		stop = len(hd) - 1
-	}
-	if stop >= len(power) {
-		stop = len(power) - 1
-	}
+// addInterval adds the (hd(t), power[t]) pairs of one interval, clipped
+// to the first n instants and to power, to acc and returns how many it
+// added.
+func addInterval(acc *stats.Regression, iv Interval, n int, hd func(t int) float64, power []float64) int {
+	stop := min(iv.Stop, n-1, len(power)-1)
 	for t := iv.Start; t <= stop; t++ {
-		acc.Add(float64(hd[t]), power[t])
+		acc.Add(hd(t), power[t])
 	}
-	if stop < iv.Start {
-		return 0
-	}
-	return stop - iv.Start + 1
+	return max(stop-iv.Start+1, 0)
 }
 
 func abs(x float64) float64 {

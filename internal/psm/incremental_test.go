@@ -276,7 +276,7 @@ func TestEvalMemo(t *testing.T) {
 // keeps serving exact verdicts.
 func TestEvalMemoLimit(t *testing.T) {
 	mo := NewEvalMemo(DefaultMergePolicy())
-	mo.SetLimit(4)
+	mo.limit = 4
 	ref := stats.MomentsOf([]float64{1, 1})
 	for i := 0; i < 10; i++ {
 		mo.Evaluate(ref, stats.MomentsOf([]float64{float64(i + 2), float64(i + 2)}))
@@ -290,9 +290,5 @@ func TestEvalMemoLimit(t *testing.T) {
 	out := mo.Evaluate(ref, ref)
 	if !out.Accept {
 		t.Fatal("identical moments must merge after a reset")
-	}
-	mo.SetLimit(0)
-	if mo.limit != defaultMemoEntries {
-		t.Fatalf("SetLimit(0) left limit %d, want the default", mo.limit)
 	}
 }

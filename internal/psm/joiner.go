@@ -89,7 +89,7 @@ func newJoiner(policy MergePolicy, memo *EvalMemo) *Joiner {
 // re-mining, but retaining them made a reset only partial: the memo's
 // eval/hit counters kept spanning epochs and its map pinned the old
 // epoch's memory. A Joiner that has been Reset is indistinguishable
-// from a fresh NewJoiner of the same policy and memo bound — pinned by
+// from a fresh NewJoiner of the same policy — pinned by
 // TestJoinerResetReuseAcrossEpochs.
 func (j *Joiner) Reset() {
 	j.dict = nil
@@ -109,13 +109,6 @@ func (j *Joiner) Policy() MergePolicy { return j.policy }
 // Pooled returns the total number of states folded in so far — the
 // join's pre-collapse pooled state count.
 func (j *Joiner) Pooled() int { return j.pooled }
-
-// SetMemoLimit bounds the verdict memo (see EvalMemo.SetLimit).
-func (j *Joiner) SetMemoLimit(n int) {
-	if j.memo != nil {
-		j.memo.SetLimit(n)
-	}
-}
 
 // Memo exposes the verdict memo's counters (for benchmarks and tests).
 func (j *Joiner) Memo() *EvalMemo { return j.memo }

@@ -11,9 +11,9 @@ type momentsPair struct {
 	a, b stats.Moments
 }
 
-// defaultMemoEntries bounds the memo of a long-running process (psmd
+// memoEntries bounds the memo of a long-running process (psmd
 // folds chains forever); see EvalMemo.
-const defaultMemoEntries = 1 << 20
+const memoEntries = 1 << 20
 
 // EvalMemo caches MergePolicy.Evaluate verdicts keyed by the canonical
 // ⟨n, Σx, Σx²⟩ pairs they were computed on. Evaluate is a pure function
@@ -39,23 +39,13 @@ type EvalMemo struct {
 }
 
 // NewEvalMemo returns an empty memo for one merge policy, bounded at
-// the default entry limit.
+// memoEntries verdicts.
 func NewEvalMemo(policy MergePolicy) *EvalMemo {
 	return &EvalMemo{
 		policy: policy,
 		m:      make(map[momentsPair]MergeOutcome),
-		limit:  defaultMemoEntries,
+		limit:  memoEntries,
 	}
-}
-
-// SetLimit bounds the number of cached verdicts (≤ 0 restores the
-// default). When the limit is reached the memo resets wholesale — the
-// amortized win survives, the memory bound is hard.
-func (mo *EvalMemo) SetLimit(n int) {
-	if n <= 0 {
-		n = defaultMemoEntries
-	}
-	mo.limit = n
 }
 
 // Policy returns the merge policy the memo's verdicts were computed

@@ -90,12 +90,6 @@ type Config struct {
 	RetryAfter time.Duration
 	// MaxLineBytes bounds one NDJSON line of an upload; ≤ 0 selects 1 MiB.
 	MaxLineBytes int
-	// IngestBatch is how many record lines the upload handler frames
-	// into one batch before handing it to the session's shard
-	// (shard.Session.AppendLines); ≤ 0 selects 256. Larger batches
-	// amortize the queue hop and the atom-signature reduction, smaller
-	// ones bound the memory a slow upload pins.
-	IngestBatch int
 	// CheckOptions parameterizes the model verifier gating GET /v1/model
 	// and POST /v1/estimate.
 	CheckOptions check.Options
@@ -355,12 +349,18 @@ func retryAfterSeconds(d time.Duration) int {
 	return secs
 }
 
+// ingestBatch is how many record lines the upload handler frames into
+// one batch before handing it to the session's shard. Larger batches
+// amortize the queue hop and the atom-signature reduction, smaller ones
+// bound the memory a slow upload pins.
+const ingestBatch = 256
+
 // handleTraces ingests one NDJSON trace stream as a session. The request
 // context cancels with the connection, so a client disconnect surfaces as
 // a body read error and the session aborts — nothing partial reaches the
 // model.
 //
-// The handler only frames raw NDJSON lines into batches of IngestBatch
+// The handler only frames raw NDJSON lines into batches of ingestBatch
 // records and hands them to the session's shard
 // (shard.Session.AppendLines transfers buffer ownership); the shard's
 // worker does the parse and the atom-signature reduction off the
@@ -415,10 +415,6 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	batch := s.cfg.IngestBatch
-	if batch <= 0 {
-		batch = 256
-	}
 	var (
 		buf       []byte
 		records   int
@@ -452,12 +448,12 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		if records == 0 {
 			firstLine = sc.Lines()
-			buf = make([]byte, 0, batch*(len(line)+16))
+			buf = make([]byte, 0, ingestBatch*(len(line)+16))
 		}
 		buf = append(buf, line...)
 		buf = append(buf, '\n')
 		records++
-		if records == batch {
+		if records == ingestBatch {
 			if err := flush(); err != nil {
 				sess.Abort()
 				s.ingestError(w, err)

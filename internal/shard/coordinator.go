@@ -167,13 +167,11 @@ func New(cfg Config) *Coordinator {
 		reg = obs.NewRegistry()
 	}
 	n := cfg.shards()
-	memo := psm.NewEvalMemo(cfg.Stream.Merge)
-	memo.SetLimit(cfg.Stream.JoinMemoEntries)
 	c := &Coordinator{
 		cfg:        cfg,
 		ring:       newRing(n),
 		reg:        reg,
-		memo:       memo,
+		memo:       psm.NewEvalMemo(cfg.Stream.Merge),
 		mSnapshots: reg.Counter("psmd_snapshots_total"),
 		mRebuilds:  reg.Counter("psmd_rebuilds_total"),
 		mDelta:     reg.Counter("psmd_snapshots_delta_total"),
@@ -471,7 +469,6 @@ func (sh *shard) enqueue(t task, timeout time.Duration) error {
 		return errClosed
 	default:
 	}
-	//psmlint:ignore nondet-source backpressure deadline; sheds load, never reaches the model
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {

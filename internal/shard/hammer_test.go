@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/pprof"
 	"sync"
 	"testing"
 	"time"
@@ -14,16 +16,19 @@ import (
 	"psmkit/internal/stream"
 )
 
-// TestCoordinatorHammer races concurrent sessions (with mid-session
-// aborts) against continuous snapshots and periodic flushes on a
-// 4-shard coordinator. The coordinator must come out clean: no open
-// sessions, aborted sessions invisible, and the final model
-// byte-identical to the batch flow over the completed sessions in
-// canonical shard-major order. Under `make race` this is the data-race
-// hammer for the queue/cut/snapshot interleaving.
+// TestCoordinatorHammer races concurrent sessions (with aborts right
+// after Open, mid-session and after the last record) against continuous
+// snapshots and periodic flushes on a 4-shard coordinator. The
+// coordinator must come out clean: no open sessions, aborted sessions
+// invisible (the ingest counter holds exactly the closed sessions'
+// records), the final model byte-identical to the batch flow over the
+// completed sessions in canonical shard-major order, and no goroutine
+// left behind once it is closed. Under `make race` this is the
+// data-race hammer for the queue/cut/snapshot interleaving.
 func TestCoordinatorHammer(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	c := genParityCase(rng)
+	baseline := runtime.NumGoroutine()
 	co := newCoordinator(c, 4, 2)
 	defer co.Close()
 	ctx := context.Background()
@@ -56,8 +61,9 @@ func TestCoordinatorHammer(t *testing.T) {
 
 	type done struct{ shardIdx, local, traceIdx int }
 	var (
-		mu     sync.Mutex
-		closed []done
+		mu      sync.Mutex
+		closed  []done
+		records int64 // rows of the closed sessions
 	)
 	const workers, perWorker = 6, 3
 	var wg sync.WaitGroup
@@ -75,9 +81,16 @@ func TestCoordinatorHammer(t *testing.T) {
 					return
 				}
 				n := c.fts[i].Len()
+				// Half the sessions complete; the other half abort, a
+				// sixth each at every stage of a session's life.
 				abortAt := -1
-				if rng.Float64() < 0.35 {
+				switch (int(seed)*perWorker + it) % 6 {
+				case 3: // right after Open
+					abortAt = 0
+				case 4: // mid-session
 					abortAt = 1 + rng.Intn(n-1)
+				case 5: // after the last record, just before Close
+					abortAt = n
 				}
 				aborted := false
 				for r := 0; r < n; r++ {
@@ -93,6 +106,10 @@ func TestCoordinatorHammer(t *testing.T) {
 						break
 					}
 				}
+				if !aborted && abortAt == n {
+					s.Abort()
+					aborted = true
+				}
 				if aborted {
 					continue
 				}
@@ -106,6 +123,7 @@ func TestCoordinatorHammer(t *testing.T) {
 				}
 				mu.Lock()
 				closed = append(closed, done{s.Shard(), local, i})
+				records += int64(rows)
 				mu.Unlock()
 			}
 		}(int64(w) + 1)
@@ -169,6 +187,20 @@ func TestCoordinatorHammer(t *testing.T) {
 	}
 	if m.TracesCompleted != len(closed) {
 		t.Fatalf("coordinator counts %d completed traces, hammer closed %d", m.TracesCompleted, len(closed))
+	}
+	if m.RecordsIngested != records {
+		t.Fatalf("coordinator counts %d ingested records, the closed sessions hold %d", m.RecordsIngested, records)
+	}
+
+	co.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			var dump bytes.Buffer
+			pprof.Lookup("goroutine").WriteTo(&dump, 1)
+			t.Fatalf("%d goroutines after Close, %d before the coordinator started:\n%s", runtime.NumGoroutine(), baseline, dump.String())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

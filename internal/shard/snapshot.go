@@ -78,7 +78,6 @@ func (c *Coordinator) miningCut(candidates []mining.Atom) globalCut {
 // only read it (check.VerifyPSM, WriteJSON, WriteDOT, powersim.New).
 // Errors and cancelled snapshots are never cached.
 func (c *Coordinator) Snapshot(ctx context.Context) (*psm.Model, error) {
-	//psmlint:ignore nondet-source join-latency metric only; never reaches the model
 	start := time.Now()
 	cached := false
 	defer func() {
@@ -88,7 +87,6 @@ func (c *Coordinator) Snapshot(ctx context.Context) (*psm.Model, error) {
 		if cached {
 			return
 		}
-		//psmlint:ignore nondet-source join-latency metric only; never reaches the model
 		el := time.Since(start)
 		c.mJoinNanos.Add(el.Nanoseconds())
 		ms := float64(el.Nanoseconds()) / 1e6

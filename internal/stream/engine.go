@@ -49,11 +49,6 @@ type Config struct {
 	// one registry across engines in a process is the caller's choice —
 	// the counters are named per concern, not per engine.
 	Registry *obs.Registry
-	// JoinMemoEntries bounds the mergeability-verdict memo the
-	// incremental join keeps across snapshots (≤ 0 selects the psm
-	// package default). The memo resets wholesale at the bound; the
-	// model is unaffected either way (memoized verdicts are exact).
-	JoinMemoEntries int
 }
 
 // DefaultConfig returns the paper-reproduction policies with serving-
@@ -233,12 +228,10 @@ func NewEngine(cfg Config) *Engine {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	joiner := psm.NewJoiner(cfg.Merge)
-	joiner.SetMemoLimit(cfg.JoinMemoEntries)
 	return &Engine{
 		cfg:        cfg,
 		reg:        reg,
-		joiner:     joiner,
+		joiner:     psm.NewJoiner(cfg.Merge),
 		mRecords:   reg.Counter("psmd_records_ingested_total"),
 		mTraces:    reg.Counter("psmd_traces_completed_total"),
 		mSnapshots: reg.Counter("psmd_snapshots_total"),
@@ -461,7 +454,6 @@ func (s *Session) Abort() {
 // it serves shard.Coordinator.Snapshot — but it stays the single-engine
 // reference the coordinator is held to.
 func (e *Engine) Snapshot(ctx context.Context) (*psm.Model, error) {
-	//psmlint:ignore nondet-source join-latency metric only; never reaches the model
 	start := time.Now()
 	// Latency is recorded on every outcome, including errors and
 	// cancellations: the time a failed snapshot burned under the engine
@@ -469,7 +461,6 @@ func (e *Engine) Snapshot(ctx context.Context) (*psm.Model, error) {
 	// see (a cancel storm that only ever shows up as absent samples
 	// would hide the regression that causes it).
 	defer func() {
-		//psmlint:ignore nondet-source join-latency metric only; never reaches the model
 		el := time.Since(start)
 		e.mJoinNanos.Add(el.Nanoseconds())
 		ms := float64(el.Nanoseconds()) / 1e6

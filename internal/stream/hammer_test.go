@@ -13,10 +13,11 @@ import (
 // abort a fraction of them partway through while a background goroutine
 // snapshots continuously (some under already-cancelled contexts). The
 // engine must come out clean — no open sessions, aborted uploads
-// invisible, and the final model byte-identical to the batch flow over
-// exactly the completed sessions in completion order. Run under
-// `make race` this doubles as the data-race hammer for the
-// session/epoch-cache interleaving.
+// invisible (their records rolled back out of the ingest counter), and
+// the final model byte-identical to the batch flow over exactly the
+// completed sessions in completion order. Run under `make race` this
+// doubles as the data-race hammer for the session/epoch-cache
+// interleaving.
 func TestEngineAbortHammerUnderSnapshots(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	c := genParityCase(rng)
@@ -138,5 +139,14 @@ func TestEngineAbortHammerUnderSnapshots(t *testing.T) {
 	}
 	if m.TracesCompleted != len(completed) {
 		t.Fatalf("engine counts %d completed traces, hammer closed %d", m.TracesCompleted, len(completed))
+	}
+	// Aborts roll their records back: the ingest counter holds exactly
+	// the completed sessions' rows.
+	var records int64
+	for _, ci := range completed {
+		records += int64(c.fts[ci].Len())
+	}
+	if m.RecordsIngested != records {
+		t.Fatalf("engine counts %d ingested records, the completed sessions hold %d", m.RecordsIngested, records)
 	}
 }

@@ -93,14 +93,22 @@ func (f *Functional) Slice(from, to int) *Functional {
 // gets 0.
 func (f *Functional) InputHammingDistance(cols []int) []float64 {
 	out := make([]float64, f.Len())
-	for t := 1; t < f.Len(); t++ {
-		hd := 0
-		for _, c := range cols {
-			hd += f.rows[t][c].HammingDistance(f.rows[t-1][c])
-		}
-		out[t] = float64(hd)
+	for t := range out {
+		out[t] = float64(f.InputHammingDistanceAt(t, cols))
 	}
 	return out
+}
+
+// InputHammingDistanceAt is InputHammingDistance at the single instant t.
+func (f *Functional) InputHammingDistanceAt(t int, cols []int) int {
+	if t == 0 {
+		return 0
+	}
+	hd := 0
+	for _, c := range cols {
+		hd += f.rows[t][c].HammingDistance(f.rows[t-1][c])
+	}
+	return hd
 }
 
 // CoreSchema returns the signal set of a core's primary inputs and
