@@ -268,15 +268,17 @@ func BenchmarkParallelPSMGeneration(b *testing.B) {
 				b.Fatal(err)
 			}
 			seqSecs := time.Since(seqStart).Seconds()
+			cfg := experiment.DefaultPolicies()
+			cfg.Workers = 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := experiment.BuildModelParallel(ts, experiment.DefaultPolicies(), 0); err != nil {
+				if _, err := experiment.BuildModel(ts, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
 			parSecs := b.Elapsed().Seconds() / float64(b.N)
 			b.ReportMetric(seqSecs/parSecs, "speedup_x")
-			b.ReportMetric(float64(experiment.RowWorkers()), "workers")
+			b.ReportMetric(float64(cfg.Parallelism()), "workers")
 		})
 	}
 }
@@ -300,8 +302,10 @@ func BenchmarkParallelWorkerSweep(b *testing.B) {
 	seqSecs := time.Since(seqStart).Seconds()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("j=%d", workers), func(b *testing.B) {
+			cfg := experiment.DefaultPolicies()
+			cfg.Workers = workers
 			for i := 0; i < b.N; i++ {
-				if _, err := experiment.BuildModelParallel(ts, experiment.DefaultPolicies(), workers); err != nil {
+				if _, err := experiment.BuildModel(ts, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -380,11 +384,11 @@ func BenchmarkHierarchicalCamellia(b *testing.B) {
 // quantifying what the mined temporal structure contributes.
 func BenchmarkBaselines(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiment.Baselines(1, experiment.DefaultPolicies())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
+		for _, c := range experiment.Cases() {
+			r, err := experiment.BaselinesFor(c, 1, experiment.DefaultPolicies())
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportMetric(100*r.ConstantMRE, r.IP+"_const_MRE_%")
 			b.ReportMetric(100*r.RegressionMRE, r.IP+"_reg_MRE_%")
 			b.ReportMetric(100*r.PSMMRE, r.IP+"_psm_MRE_%")

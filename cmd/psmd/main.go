@@ -58,8 +58,6 @@ func main() {
 	maxRecords := flag.Int("max-records", serve.DefaultConfig().Stream.MaxRecords, "per-session record limit (0 = unlimited)")
 	maxSessions := flag.Int("max-sessions", serve.DefaultConfig().Stream.MaxOpenSessions, "concurrently open upload sessions per shard (0 = unlimited)")
 	shards := flag.Int("shards", 1, "ingest shards: sessions partition across that many engines by consistent hash, each parsing and reducing on its own worker (model stays byte-identical)")
-	shardQueue := flag.Int("shard-queue-depth", 0, "per-shard ingest queue depth in batches (0 = shard package default)")
-	shardTimeout := flag.Duration("shard-enqueue-timeout", 0, "how long an append may block on a saturated shard before a 429 load-shed (0 = shard package default)")
 	retryAfter := flag.Duration("retry-after", 0, "Retry-After hint on open-session-cap 429s (0 = 1s)")
 	maxLine := flag.Int("max-line-bytes", 1<<20, "NDJSON line length limit for uploads")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines for snapshot rebuilds (model is identical for any value)")
@@ -90,8 +88,6 @@ func main() {
 	cfg.Stream.MaxRecords = *maxRecords
 	cfg.Stream.MaxOpenSessions = *maxSessions
 	cfg.Shards = *shards
-	cfg.ShardQueueDepth = *shardQueue
-	cfg.ShardEnqueueTimeout = *shardTimeout
 	cfg.RetryAfter = *retryAfter
 	cfg.MaxLineBytes = *maxLine
 	cfg.Flight = flight

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -73,5 +74,32 @@ func TestCodeLoadErrorExitsTwo(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "no-such-dir") {
 		t.Fatalf("stderr should name the bad pattern:\n%s", stderr)
+	}
+}
+
+// TestCodePatternsResolveAgainstWorkingDir: like `go vet ./...`, a
+// pattern names the subtree of the directory psmlint runs in, not of
+// the module root.
+func TestCodePatternsResolveAgainstWorkingDir(t *testing.T) {
+	const floatEq = "package %s\n\nfunc Eq(x, y float64) bool { return x == y }\n"
+	root := writeFixtureModule(t, map[string]string{
+		"go.mod": fixtureGoMod,
+		"a/a.go": fmt.Sprintf(floatEq, "a"),
+		"b/b.go": fmt.Sprintf(floatEq, "b"),
+	})
+
+	t.Chdir(filepath.Join(root, "a"))
+	code, out, stderr := runLint(t, "code", "./...")
+	if code != 1 {
+		t.Fatalf("run in a/: exit %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out, stderr)
+	}
+	if !strings.Contains(out, filepath.Join("a", "a.go")) || strings.Contains(out, filepath.Join("b", "b.go")) {
+		t.Fatalf("run in a/ must report a/ only:\n%s", out)
+	}
+
+	t.Chdir(root)
+	code, out, _ = runLint(t, "code", "./...")
+	if code != 1 || !strings.Contains(out, filepath.Join("a", "a.go")) || !strings.Contains(out, filepath.Join("b", "b.go")) {
+		t.Fatalf("run at the root: exit %d, want 1 with both findings:\n%s", code, out)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"psmkit/internal/experiment"
+	"psmkit/internal/pipeline"
 	"psmkit/internal/powersim"
 	"psmkit/internal/testbench"
 )
@@ -36,7 +37,7 @@ func main() {
 
 	for _, cfg := range []struct {
 		name string
-		pol  experiment.Policies
+		pol  pipeline.Config
 	}{
 		{"with Hamming-distance calibration", withCal},
 		{"without calibration (constant μ)", noCal},

@@ -110,9 +110,6 @@ func (p Timeout) Name() string { return fmt.Sprintf("timeout-%d", p.N) }
 // Shutdown implements Policy.
 func (p Timeout) Shutdown(idle int) bool { return idle >= p.N }
 
-// Immediate gates on the first inactive cycle (Timeout{1}).
-func Immediate() Policy { return Timeout{N: 1} }
-
 // Result is the outcome of evaluating one policy on a profile.
 type Result struct {
 	Policy string

@@ -55,7 +55,7 @@ func TestAlwaysOnMatchesBaseline(t *testing.T) {
 func TestImmediateTimeoutArithmetic(t *testing.T) {
 	// One active burst (2), idle gap (4), active burst (2).
 	p := prof([]int{2, 4, 2}, 0, 3, 1)
-	r := Evaluate(p, Immediate())
+	r := Evaluate(p, Timeout{N: 1}) // gate on the first idle cycle
 	// Energy: 2*10 (burst) + 4*0 (gated idle) + 3 (wake) + 2*10 (burst) = 43.
 	if math.Abs(r.EnergyJ-43) > 1e-12 {
 		t.Errorf("energy = %g, want 43", r.EnergyJ)
@@ -85,7 +85,7 @@ func TestTimeoutDelaysShutdown(t *testing.T) {
 func TestWakePenaltyCanMakeGatingWorse(t *testing.T) {
 	// Short gaps + expensive wake-ups: immediate gating must LOSE.
 	p := prof([]int{2, 2, 2, 2, 2}, 0, 50, 0)
-	eager := Evaluate(p, Immediate())
+	eager := Evaluate(p, Timeout{N: 1}) // gate on the first idle cycle
 	if eager.Savings >= 0 {
 		t.Errorf("eager gating with 50 J wake-ups should lose energy, savings = %g", eager.Savings)
 	}
@@ -242,7 +242,7 @@ func TestBuildProfileErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildProfile(flow.Model, ts.FTs[0].Slice(0, 0), ts.InputCols, 0.5); err == nil {
+	if _, err := BuildProfile(flow.Model, trace.NewFunctional(ts.FTs[0].Signals), ts.InputCols, 0.5); err == nil {
 		t.Error("empty trace accepted")
 	}
 

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"psmkit/internal/pipeline"
 	"psmkit/internal/powersim"
 	"psmkit/internal/stats"
 	"psmkit/internal/testbench"
@@ -79,12 +80,12 @@ func evalBaseline(fts []*trace.Functional, pws []*trace.Power, estimate func(ft 
 
 // BaselinesFor trains the PSM and both baselines on the IP's short-TS and
 // evaluates all three on the same traces (the Table II protocol).
-func BaselinesFor(c IPCase, scale float64, pol Policies) (BaselineRow, error) {
+func BaselinesFor(c IPCase, scale float64, cfg pipeline.Config) (BaselineRow, error) {
 	ts, err := GenerateTraces(c, scaled(c.ShortTS, scale), Pieces, testbench.Options{Seed: c.Seed})
 	if err != nil {
 		return BaselineRow{}, err
 	}
-	flow, err := BuildModel(ts, pol)
+	flow, err := BuildModel(ts, cfg)
 	if err != nil {
 		return BaselineRow{}, err
 	}
@@ -106,17 +107,4 @@ func BaselinesFor(c IPCase, scale float64, pol Policies) (BaselineRow, error) {
 		RegressionMRE: regMRE,
 		PSMMRE:        psmMRE,
 	}, nil
-}
-
-// Baselines runs the comparison for every IP.
-func Baselines(scale float64, pol Policies) ([]BaselineRow, error) {
-	var rows []BaselineRow
-	for _, c := range Cases() {
-		r, err := BaselinesFor(c, scale, pol)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r)
-	}
-	return rows, nil
 }

@@ -6,13 +6,14 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"psmkit/internal/hdl"
 	"psmkit/internal/ip"
 	"psmkit/internal/logic"
-	"psmkit/internal/mining"
+	"psmkit/internal/pipeline"
 	"psmkit/internal/power"
 	"psmkit/internal/powersim"
 	"psmkit/internal/psm"
@@ -125,44 +126,23 @@ type Flow struct {
 	GenTime time.Duration
 }
 
-// Policies groups the tunables of the flow (the ablation benchmarks sweep
-// them; everything else uses the defaults).
-type Policies struct {
-	Mining      mining.Config
-	Merge       psm.MergePolicy
-	Calibration psm.CalibrationPolicy
-	// SkipCalibration disables the Hamming-distance regression entirely.
-	SkipCalibration bool
+// DefaultPolicies returns the flow configuration of the paper tables:
+// the default policies at one worker, so the "PSMs gen." column times
+// the flow single-threaded.
+func DefaultPolicies() pipeline.Config {
+	cfg := pipeline.DefaultConfig()
+	cfg.Workers = 1
+	return cfg
 }
 
-// DefaultPolicies returns the configuration used for the paper tables.
-func DefaultPolicies() Policies {
-	return Policies{
-		Mining:      mining.DefaultConfig(),
-		Merge:       psm.DefaultMergePolicy(),
-		Calibration: psm.DefaultCalibrationPolicy(),
-	}
-}
-
-// BuildModel runs mining → PSMGenerator → simplify → join → calibrate and
-// times it (the paper's "PSMs gen." column).
-func BuildModel(ts *TraceSet, pol Policies) (*Flow, error) {
+// BuildModel runs mining → PSMGenerator → simplify → join → calibrate
+// (pipeline.BuildModel at cfg.Workers) and times it (the paper's "PSMs
+// gen." column).
+func BuildModel(ts *TraceSet, cfg pipeline.Config) (*Flow, error) {
 	start := time.Now()
-	dict, pts, err := mining.Mine(ts.FTs, pol.Mining)
+	model, err := pipeline.BuildModel(context.Background(), ts.FTs, ts.PWs, ts.InputCols, cfg)
 	if err != nil {
 		return nil, err
-	}
-	var chains []*psm.Chain
-	for i, pt := range pts {
-		c, err := psm.Generate(dict, pt, ts.PWs[i], i)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: trace %d: %w", i, err)
-		}
-		chains = append(chains, psm.Simplify(c, pol.Merge))
-	}
-	model := psm.Join(chains, pol.Merge)
-	if !pol.SkipCalibration {
-		psm.Calibrate(model, ts.FTs, ts.PWs, ts.InputCols, pol.Calibration)
 	}
 	return &Flow{Model: model, GenTime: time.Since(start)}, nil
 }
@@ -239,7 +219,7 @@ type TableIIRow struct {
 // TableIIFor runs the generation experiment for one IP. long selects the
 // long-TS testset; scale (0 < scale ≤ 1) shrinks the trace lengths for
 // quick runs — the paper tables use scale = 1.
-func TableIIFor(c IPCase, long bool, scale float64, pol Policies) (TableIIRow, error) {
+func TableIIFor(c IPCase, long bool, scale float64, cfg pipeline.Config) (TableIIRow, error) {
 	total := c.ShortTS
 	opts := testbench.Options{Seed: c.Seed}
 	if long {
@@ -251,7 +231,7 @@ func TableIIFor(c IPCase, long bool, scale float64, pol Policies) (TableIIRow, e
 	if err != nil {
 		return TableIIRow{}, err
 	}
-	flow, err := BuildModel(ts, pol)
+	flow, err := BuildModel(ts, cfg)
 	if err != nil {
 		return TableIIRow{}, err
 	}
@@ -265,14 +245,6 @@ func TableIIFor(c IPCase, long bool, scale float64, pol Policies) (TableIIRow, e
 		Trans:   flow.Model.NumTransitions(),
 		MRE:     mre,
 	}, nil
-}
-
-// TableII runs the generation experiment for every IP, one row per
-// worker (RowWorkers documents the timing-column caveat).
-func TableII(long bool, scale float64, pol Policies) ([]TableIIRow, error) {
-	return tableRows(RowWorkers(), func(c IPCase) (TableIIRow, error) {
-		return TableIIFor(c, long, scale, pol)
-	})
 }
 
 // --- Table III -----------------------------------------------------------------
@@ -297,13 +269,13 @@ type TableIIIRow struct {
 // IP. The validation stimulus enables stall injection, which only affects
 // cores with a stall port (Camellia) — the source of its wrong-state
 // predictions, as discussed in Section VI.
-func TableIIIFor(c IPCase, scale float64, pol Policies) (TableIIIRow, error) {
+func TableIIIFor(c IPCase, scale float64, cfg pipeline.Config) (TableIIIRow, error) {
 	trainStart := time.Now()
 	ts, err := GenerateTraces(c, scaled(c.ShortTS, scale), Pieces, testbench.Options{Seed: c.Seed})
 	if err != nil {
 		return TableIIIRow{}, err
 	}
-	flow, err := BuildModel(ts, pol)
+	flow, err := BuildModel(ts, cfg)
 	if err != nil {
 		return TableIIIRow{}, err
 	}
@@ -376,14 +348,6 @@ func TableIIIFor(c IPCase, scale float64, pol Policies) (TableIIIRow, error) {
 		row.Speedup = pxTime.Seconds() / coSim.Seconds()
 	}
 	return row, nil
-}
-
-// TableIII runs the cross-validation experiment for every IP, one row
-// per worker (RowWorkers documents the timing-column caveat).
-func TableIII(scale float64, pol Policies) ([]TableIIIRow, error) {
-	return tableRows(RowWorkers(), func(c IPCase) (TableIIIRow, error) {
-		return TableIIIFor(c, scale, pol)
-	})
 }
 
 // timeFunctional simulates the IP for n cycles and returns the wall time.

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"testing"
 
 	"psmkit/internal/logic"
@@ -257,14 +258,11 @@ func TestHierarchicalCamelliaBeatsFlat(t *testing.T) {
 }
 
 func TestBaselinesShape(t *testing.T) {
-	rows, err := Baselines(0.08, DefaultPolicies())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
+	for _, c := range Cases() {
+		r, err := BaselinesFor(c, 0.08, DefaultPolicies())
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
 		// The PSM must beat the constant baseline everywhere, and the
 		// stateless global regression on every IP (structure matters).
 		if r.PSMMRE >= r.ConstantMRE {
@@ -272,6 +270,43 @@ func TestBaselinesShape(t *testing.T) {
 		}
 		if r.PSMMRE >= r.RegressionMRE {
 			t.Errorf("%s: PSM MRE %.3f not better than global regression %.3f", r.IP, r.PSMMRE, r.RegressionMRE)
+		}
+	}
+}
+
+// TestBuildModelParallelMatchesSequential pins the experiment-layer
+// entry point: the worker count in its config changes only GenTime, not
+// a byte of the exported model.
+func TestBuildModelParallelMatchesSequential(t *testing.T) {
+	c, err := CaseByName("MultSum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := GenerateTraces(c, 1600, Pieces, testbench.Options{Seed: c.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := BuildModel(ts, DefaultPolicies())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := seq.Model.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, 4} {
+		cfg := DefaultPolicies()
+		cfg.Workers = workers
+		par, err := BuildModel(ts, cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		var got bytes.Buffer
+		if err := par.Model.WriteJSON(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want.Bytes(), got.Bytes()) {
+			t.Errorf("workers=%d: model differs from the one-worker build", workers)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"psmkit/internal/hdl"
 	"psmkit/internal/hierarchy"
 	"psmkit/internal/ip"
+	"psmkit/internal/pipeline"
 	"psmkit/internal/power"
 	"psmkit/internal/powersim"
 	"psmkit/internal/testbench"
@@ -91,7 +92,7 @@ func generateProbed(c IPCase, total, pieces int, opts testbench.Options) (*probe
 // HierarchicalCamellia trains both models on short-TS and cross-validates
 // them on a long-TS slice (with stall injection, like Table III). scale
 // shrinks both testsets; the reference experiment uses scale = 1.
-func HierarchicalCamellia(scale float64, pol Policies) (HierarchicalRow, error) {
+func HierarchicalCamellia(scale float64, cfg pipeline.Config) (HierarchicalRow, error) {
 	c, err := CaseByName("Camellia")
 	if err != nil {
 		return HierarchicalRow{}, err
@@ -110,7 +111,7 @@ func HierarchicalCamellia(scale float64, pol Policies) (HierarchicalRow, error) 
 		flatTS.FTs = append(flatTS.FTs, ft.Project(train.flatCols))
 	}
 	flatTS.InputCols = train.inputCols // same indices: inputs precede probes
-	flatFlow, err := BuildModel(flatTS, pol)
+	flatFlow, err := BuildModel(flatTS, cfg)
 	if err != nil {
 		return HierarchicalRow{}, err
 	}
@@ -119,8 +120,7 @@ func HierarchicalCamellia(scale float64, pol Policies) (HierarchicalRow, error) 
 
 	// Hierarchical flow: extended schema + per-subcomponent power.
 	hierStart := time.Now()
-	hcfg := hierarchy.Config{Mining: pol.Mining, Merge: pol.Merge, Calibration: pol.Calibration}
-	hier, err := hierarchy.Build(train.fts, train.groups, train.inputCols, hcfg)
+	hier, err := hierarchy.Build(train.fts, train.groups, train.inputCols, cfg)
 	if err != nil {
 		return HierarchicalRow{}, err
 	}

@@ -1,9 +1,6 @@
 package hdl
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // ToggleBank is the columnar switching-activity store of a core: one
 // slot per state element, with the per-cycle toggle counts in a flat
@@ -14,15 +11,14 @@ import (
 // scanning words instead of walking every element through method calls.
 //
 // The planes are the bank's own storage. Consumers (package power) read
-// them through TouchedPlane/GatedPlane/Toggles and drain a cycle's
-// activity with DrainSlot/ClearTouchedWord; the per-Reg accessors
-// (TakeToggles, Gated) read through to the bank, so scalar code keeps
-// working on a bound core and observes the exact same counters.
+// them through TouchedPlane/GatedPlane and drain a cycle's activity with
+// DrainSlot/ClearTouchedWord. Activity an element accumulated before
+// binding migrates into the columns; a bound element keeps no counters
+// of its own.
 //
 // A bank is single-writer per cycle, like the Reg counters it replaces:
 // one goroutine steps the core and one estimator drains the activity.
 type ToggleBank struct {
-	elems   []*Reg
 	toggles []int32  // per-slot toggle count accumulated this cycle
 	touched []uint64 // bit i set: slot i accumulated toggles this cycle
 	gated   []uint64 // bit i set: slot i's clock is gated
@@ -36,7 +32,6 @@ type ToggleBank struct {
 func NewToggleBank(elems []*Reg) *ToggleBank {
 	words := (len(elems) + 63) / 64
 	b := &ToggleBank{
-		elems:   elems,
 		toggles: make([]int32, len(elems)),
 		touched: make([]uint64, words),
 		gated:   make([]uint64, words),
@@ -59,9 +54,6 @@ func NewToggleBank(elems []*Reg) *ToggleBank {
 	return b
 }
 
-// Len returns the number of bound elements.
-func (b *ToggleBank) Len() int { return len(b.elems) }
-
 // Words returns the number of 64-bit words in each plane.
 func (b *ToggleBank) Words() int { return len(b.touched) }
 
@@ -72,9 +64,6 @@ func (b *ToggleBank) TouchedPlane() []uint64 { return b.touched }
 // GatedPlane exposes the clock-gating bit plane (bank storage; gating
 // persists across cycles until the core changes it).
 func (b *ToggleBank) GatedPlane() []uint64 { return b.gated }
-
-// Toggles returns slot i's accumulated toggle count without draining it.
-func (b *ToggleBank) Toggles(i int) int { return int(b.toggles[i]) }
 
 // DrainSlot returns and clears slot i's toggle count. The caller is
 // responsible for clearing the touched plane (ClearTouchedWord) once a
@@ -87,16 +76,6 @@ func (b *ToggleBank) DrainSlot(i int) int {
 
 // ClearTouchedWord zeroes word w of the touched plane.
 func (b *ToggleBank) ClearTouchedWord(w int) { b.touched[w] = 0 }
-
-// ActiveCount returns the number of slots with pending toggles — a
-// debugging/metrics helper, not on the per-cycle hot path.
-func (b *ToggleBank) ActiveCount() int {
-	n := 0
-	for _, w := range b.touched {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
 
 // add publishes hd toggles for slot i (called by Reg.Set).
 func (b *ToggleBank) add(i, hd int) {
@@ -113,19 +92,11 @@ func (b *ToggleBank) gate(i int, g bool) {
 	}
 }
 
-// isGated reports slot i's gating bit.
-func (b *ToggleBank) isGated(i int) bool {
-	return b.gated[i/64]&(1<<uint(i%64)) != 0
-}
-
-// drain returns and clears slot i's toggles including its touched bit
-// (the per-Reg TakeToggles read-through; clears only slot i's bit, so a
-// concurrent word scan stays consistent).
-func (b *ToggleBank) drain(i int) int {
-	t := b.toggles[i]
-	if t != 0 {
-		b.toggles[i] = 0
-		b.touched[i/64] &^= 1 << uint(i%64)
-	}
-	return int(t)
+// clear zeroes slot i's toggles, touched bit and gating bit (called by
+// Reg.Reset; it clears only slot i's bits, so a concurrent word scan
+// stays consistent).
+func (b *ToggleBank) clear(i int) {
+	b.toggles[i] = 0
+	b.touched[i/64] &^= 1 << uint(i%64)
+	b.gated[i/64] &^= 1 << uint(i%64)
 }

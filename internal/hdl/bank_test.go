@@ -13,14 +13,14 @@ func TestBankMigratesPendingState(t *testing.T) {
 	b.Gate(true)
 
 	bank := NewToggleBank([]*Reg{a, b})
-	if got := bank.Toggles(0); got != 8 {
+	if got := bank.toggles[0]; got != 8 {
 		t.Fatalf("migrated toggles = %d, want 8", got)
 	}
 	if bank.TouchedPlane()[0]&1 == 0 {
 		t.Fatal("touched bit not migrated")
 	}
-	if !b.Gated() || a.Gated() {
-		t.Fatal("gating state not migrated")
+	if bank.GatedPlane()[0] != 2 {
+		t.Fatalf("gated plane = %b, want slot 1 only (gating state not migrated)", bank.GatedPlane()[0])
 	}
 }
 
@@ -31,21 +31,14 @@ func TestBankPublishAndReadThrough(t *testing.T) {
 
 	a.Set(logic.FromUint64(8, 0x0f)) // 4 toggles
 	a.Set(logic.FromUint64(8, 0x00)) // 4 more (glitch accumulation)
-	if got := bank.Toggles(0); got != 8 {
+	if got := bank.toggles[0]; got != 8 {
 		t.Fatalf("bank toggles = %d, want 8", got)
 	}
 	if bank.TouchedPlane()[0] != 1 {
 		t.Fatalf("touched plane = %b, want slot 0 only", bank.TouchedPlane()[0])
 	}
-	// Read-through drain matches the scalar Reg contract.
-	if got := a.TakeToggles(); got != 8 {
-		t.Fatalf("TakeToggles = %d, want 8", got)
-	}
-	if got := a.TakeToggles(); got != 0 {
-		t.Fatalf("second TakeToggles = %d, want 0", got)
-	}
-	if bank.TouchedPlane()[0] != 0 {
-		t.Fatal("touched bit survived the drain")
+	if a.toggles != 0 {
+		t.Fatalf("bound element kept %d toggles of its own", a.toggles)
 	}
 
 	b.Gate(true)
@@ -62,7 +55,7 @@ func TestBankSetIdenticalValueLeavesPlaneClean(t *testing.T) {
 	a := NewReg("a", 8)
 	bank := NewToggleBank([]*Reg{a})
 	a.Set(logic.FromUint64(8, 0)) // zero Hamming distance
-	if bank.TouchedPlane()[0] != 0 || bank.Toggles(0) != 0 {
+	if bank.TouchedPlane()[0] != 0 || bank.toggles[0] != 0 {
 		t.Fatal("zero-HD write marked the plane")
 	}
 }
@@ -89,10 +82,10 @@ func TestBankRegResetClearsSlot(t *testing.T) {
 	a.Set(logic.FromUint64(4, 0xf))
 	a.Gate(true)
 	a.Reset()
-	if bank.Toggles(0) != 0 || bank.TouchedPlane()[0] != 0 {
+	if bank.toggles[0] != 0 || bank.TouchedPlane()[0] != 0 {
 		t.Fatal("Reset left pending toggles in the bank")
 	}
-	if a.Gated() {
+	if bank.GatedPlane()[0] != 0 {
 		t.Fatal("Reset left the slot gated")
 	}
 }
@@ -114,14 +107,14 @@ func TestBankManyWords(t *testing.T) {
 		elems[i] = NewReg("e", 1)
 	}
 	bank := NewToggleBank(elems)
-	if bank.Words() != 3 || bank.Len() != 130 {
-		t.Fatalf("words=%d len=%d", bank.Words(), bank.Len())
+	if bank.Words() != 3 || len(bank.toggles) != 130 {
+		t.Fatalf("words=%d slots=%d", bank.Words(), len(bank.toggles))
 	}
 	elems[129].Set(logic.FromUint64(1, 1))
 	if bank.TouchedPlane()[2] != 1<<1 {
 		t.Fatalf("slot 129 bit not in word 2: %b", bank.TouchedPlane()[2])
 	}
-	if bank.ActiveCount() != 1 {
-		t.Fatalf("ActiveCount = %d, want 1", bank.ActiveCount())
+	if p := bank.TouchedPlane(); p[0] != 0 || p[1] != 0 {
+		t.Fatalf("words 0 and 1 marked: %b %b", p[0], p[1])
 	}
 }

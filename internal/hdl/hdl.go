@@ -93,7 +93,8 @@ type Probed interface {
 
 // Reg is a registered state element (or a tracked internal net) of a core.
 // Writes go through Set so the kernel can observe per-cycle switching
-// activity; TakeToggles drains the activity counter once per cycle.
+// activity; the power estimator binds every element to a ToggleBank and
+// drains the activity there once per cycle.
 type Reg struct {
 	name string
 	// Memory reports whether the element is a memory element (flip-flop /
@@ -129,16 +130,6 @@ func NewReg(name string, width int) *Reg {
 func NewNet(name string, width int) *Reg {
 	r := NewReg(name, width)
 	r.memory = false
-	return r
-}
-
-// WithReset sets the power-on value and returns the element (builder style).
-func (r *Reg) WithReset(v logic.Vector) *Reg {
-	if v.Width() != r.val.Width() {
-		panic(fmt.Sprintf("hdl: reset width %d != reg %q width %d", v.Width(), r.name, r.val.Width()))
-	}
-	r.resetTo = v.Clone()
-	r.val = v.Clone()
 	return r
 }
 
@@ -184,31 +175,11 @@ func (r *Reg) Gate(g bool) {
 	r.gated = g
 }
 
-// Gated reports whether the element's clock is gated this cycle.
-func (r *Reg) Gated() bool {
-	if r.bank != nil {
-		return r.bank.isGated(r.bankID)
-	}
-	return r.gated
-}
-
-// TakeToggles returns the switching activity accumulated since the last
-// call and resets the counter. The power estimator calls it once per cycle.
-func (r *Reg) TakeToggles() int {
-	if r.bank != nil {
-		return r.bank.drain(r.bankID)
-	}
-	t := r.toggles
-	r.toggles = 0
-	return t
-}
-
 // Reset restores the power-on value without charging toggles.
 func (r *Reg) Reset() {
 	r.val = r.resetTo.Clone()
 	if r.bank != nil {
-		r.bank.drain(r.bankID)
-		r.bank.gate(r.bankID, false)
+		r.bank.clear(r.bankID)
 	} else {
 		r.toggles = 0
 		r.gated = false
@@ -272,20 +243,11 @@ func NewSimulator(core Core) *Simulator {
 	return s
 }
 
-// Core returns the simulated core.
-func (s *Simulator) Core() Core { return s.core }
-
 // Cycle returns the number of cycles simulated so far.
 func (s *Simulator) Cycle() int { return s.cycle }
 
 // Observe registers an observer for subsequent cycles.
 func (s *Simulator) Observe(o Observer) { s.observers = append(s.observers, o) }
-
-// Reset re-initializes the core and the cycle counter.
-func (s *Simulator) Reset() {
-	s.core.Reset()
-	s.cycle = 0
-}
 
 // Step validates the input valuation, advances the core one cycle, and
 // returns the validated output valuation.

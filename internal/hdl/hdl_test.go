@@ -49,7 +49,7 @@ func (c *counter) Step(in Values) Values {
 		c.cnt.SetUint64(0)
 		c.carry.SetUint64(0)
 	case en:
-		next := c.cnt.Get().Add(logic.FromUint64(8, 1))
+		next := logic.FromUint64(8, c.cnt.Get().Uint64()+1)
 		if next.IsZero() {
 			c.carry.SetUint64(1)
 		} else {
@@ -152,41 +152,33 @@ func TestObserverSeesEveryCycle(t *testing.T) {
 
 func TestRegToggleAccounting(t *testing.T) {
 	r := NewReg("r", 8)
+	bank := NewToggleBank([]*Reg{r})
 	r.Set(logic.FromUint64(8, 0xff))
-	if got := r.TakeToggles(); got != 8 {
+	if got := bank.DrainSlot(0); got != 8 {
 		t.Errorf("toggles = %d, want 8", got)
 	}
-	if got := r.TakeToggles(); got != 0 {
-		t.Errorf("TakeToggles should drain, got %d", got)
+	if got := bank.DrainSlot(0); got != 0 {
+		t.Errorf("DrainSlot should drain, got %d", got)
 	}
 	// two writes in a cycle accumulate (glitch modelling)
 	r.Set(logic.FromUint64(8, 0x00))
 	r.Set(logic.FromUint64(8, 0x0f))
-	if got := r.TakeToggles(); got != 12 {
+	if got := bank.DrainSlot(0); got != 12 {
 		t.Errorf("glitch toggles = %d, want 12", got)
 	}
 }
 
 func TestRegResetValueAndGating(t *testing.T) {
-	r := NewReg("r", 4).WithReset(logic.FromUint64(4, 0xa))
-	if r.Get().Uint64() != 0xa {
-		t.Errorf("reset value = %#x", r.Get().Uint64())
+	r := NewReg("r", 4)
+	if r.Get().Uint64() != 0 {
+		t.Errorf("power-on value = %#x", r.Get().Uint64())
 	}
 	r.Set(logic.FromUint64(4, 0x5))
 	r.Gate(true)
 	r.Reset()
-	if r.Get().Uint64() != 0xa || r.TakeToggles() != 0 || r.Gated() {
+	if r.Get().Uint64() != 0 || r.toggles != 0 || r.gated {
 		t.Error("Reset should restore value, clear toggles and ungate")
 	}
-}
-
-func TestRegWithResetWidthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewReg("r", 4).WithReset(logic.FromUint64(8, 0))
 }
 
 func TestNetIsNotMemory(t *testing.T) {
@@ -232,12 +224,15 @@ func TestValuesClone(t *testing.T) {
 	}
 }
 
+// TestSimulatorReset: a simulator resets its core, so a new one over a
+// used core starts from the power-on state at cycle 0.
 func TestSimulatorReset(t *testing.T) {
-	s := NewSimulator(newCounter())
+	c := newCounter()
+	s := NewSimulator(c)
 	for i := 0; i < 10; i++ {
 		s.MustStep(in(1, 0))
 	}
-	s.Reset()
+	s = NewSimulator(c)
 	if s.Cycle() != 0 {
 		t.Errorf("cycle after reset = %d", s.Cycle())
 	}

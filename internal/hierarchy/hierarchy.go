@@ -21,33 +21,19 @@
 package hierarchy
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"psmkit/internal/hdl"
 	"psmkit/internal/logic"
 	"psmkit/internal/mining"
+	"psmkit/internal/pipeline"
 	"psmkit/internal/powersim"
 	"psmkit/internal/psm"
 	"psmkit/internal/stats"
 	"psmkit/internal/trace"
 )
-
-// Config carries the flat flow's tunables into the per-subcomponent runs.
-type Config struct {
-	Mining      mining.Config
-	Merge       psm.MergePolicy
-	Calibration psm.CalibrationPolicy
-}
-
-// DefaultConfig mirrors the flat defaults.
-func DefaultConfig() Config {
-	return Config{
-		Mining:      mining.DefaultConfig(),
-		Merge:       psm.DefaultMergePolicy(),
-		Calibration: psm.DefaultCalibrationPolicy(),
-	}
-}
 
 // ProbedSchema returns the extended signal set of a probed core: the
 // PI/PO schema followed by the probe signals.
@@ -110,12 +96,14 @@ func (m *Model) States() int {
 // power traces (as produced by power.Estimator.Classify + GroupTrace);
 // inputCols are the primary-input columns of the extended schema.
 // Subcomponents whose power trace is all-zero (e.g. an unused "io" group)
-// are skipped.
-func Build(fts []*trace.Functional, pws map[string][]*trace.Power, inputCols []int, cfg Config) (*Model, error) {
+// are skipped. cfg is the flat flow's: mining fans out over
+// cfg.Parallelism() workers, and SkipCalibration leaves every sub-model
+// uncalibrated.
+func Build(fts []*trace.Functional, pws map[string][]*trace.Power, inputCols []int, cfg pipeline.Config) (*Model, error) {
 	if len(fts) == 0 {
 		return nil, fmt.Errorf("hierarchy: no training traces")
 	}
-	dict, pts, err := mining.Mine(fts, cfg.Mining)
+	dict, pts, err := mining.MineParallel(context.Background(), fts, cfg.Mining, cfg.Parallelism())
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +131,9 @@ func Build(fts []*trace.Functional, pws map[string][]*trace.Power, inputCols []i
 			chains = append(chains, psm.Simplify(c, cfg.Merge))
 		}
 		model := psm.Join(chains, cfg.Merge)
-		psm.Calibrate(model, fts, gp, inputCols, cfg.Calibration)
+		if !cfg.SkipCalibration {
+			psm.Calibrate(model, fts, gp, inputCols, cfg.Calibration)
+		}
 		m.Subs = append(m.Subs, SubModel{Group: g, Model: model})
 	}
 	if len(m.Subs) == 0 {

@@ -6,6 +6,7 @@ import (
 	"psmkit/internal/hdl"
 	"psmkit/internal/ip"
 	"psmkit/internal/mining"
+	"psmkit/internal/pipeline"
 	"psmkit/internal/power"
 	"psmkit/internal/powersim"
 	"psmkit/internal/psm"
@@ -112,7 +113,7 @@ func TestBuildAndRunHierarchical(t *testing.T) {
 	core := ip.NewCamellia128()
 	inputCols := trace.InputColumns(ft, core)
 
-	model, err := Build([]*trace.Functional{ft}, pws, inputCols, DefaultConfig())
+	model, err := Build([]*trace.Functional{ft}, pws, inputCols, pipeline.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestBuildSkipsZeroGroups(t *testing.T) {
 	// Add an artificial all-zero subcomponent: it must be skipped.
 	zero := make([]float64, ft.Len())
 	pws["dead"] = []*trace.Power{{Values: zero}}
-	model, err := Build([]*trace.Functional{ft}, pws, nil, DefaultConfig())
+	model, err := Build([]*trace.Functional{ft}, pws, nil, pipeline.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,16 +169,16 @@ func TestBuildSkipsZeroGroups(t *testing.T) {
 }
 
 func TestBuildErrors(t *testing.T) {
-	if _, err := Build(nil, nil, nil, DefaultConfig()); err == nil {
+	if _, err := Build(nil, nil, nil, pipeline.DefaultConfig()); err == nil {
 		t.Error("no traces accepted")
 	}
 	_, ft, _, groups := camTraining(t, 300, 41, false)
 	pws := map[string][]*trace.Power{"data": {groups["data"], groups["data"]}}
-	if _, err := Build([]*trace.Functional{ft}, pws, nil, DefaultConfig()); err == nil {
+	if _, err := Build([]*trace.Functional{ft}, pws, nil, pipeline.DefaultConfig()); err == nil {
 		t.Error("mismatched power-trace count accepted")
 	}
 	zero := map[string][]*trace.Power{"z": {{Values: make([]float64, ft.Len())}}}
-	if _, err := Build([]*trace.Functional{ft}, zero, nil, DefaultConfig()); err == nil {
+	if _, err := Build([]*trace.Functional{ft}, zero, nil, pipeline.DefaultConfig()); err == nil {
 		t.Error("all-zero model accepted")
 	}
 }
@@ -188,7 +189,7 @@ func TestSimulatorStepSumsSubEstimates(t *testing.T) {
 	for g, pw := range groups {
 		pws[g] = []*trace.Power{pw}
 	}
-	model, err := Build([]*trace.Functional{ft}, pws, nil, DefaultConfig())
+	model, err := Build([]*trace.Functional{ft}, pws, nil, pipeline.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

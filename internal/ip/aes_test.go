@@ -280,12 +280,13 @@ func TestAESTableIShape(t *testing.T) {
 
 func TestAESIdleIsGated(t *testing.T) {
 	a := NewAES128()
+	act := watch(a)
 	sim := hdl.NewSimulator(a)
 	sim.MustStep(aesIdleIn())
 	sim.MustStep(aesIdleIn())
-	for _, e := range a.Elements() {
+	for i, e := range act.elems {
 		if e.IsMemory() && e.Name() != "aes.phase" && e.Name() != "aes.done" && e.Name() != "aes.dout" {
-			if !e.Gated() {
+			if !act.gated(i) {
 				t.Errorf("element %s ungated while idle", e.Name())
 			}
 		}

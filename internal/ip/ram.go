@@ -100,7 +100,3 @@ func (r *RAM) Step(in hdl.Values) hdl.Values {
 	}
 	return hdl.Values{"rdata": rdata}
 }
-
-// Peek returns the current content of a word (for tests); index is the
-// word index, not the byte address.
-func (r *RAM) Peek(word int) logic.Vector { return r.mem[word].Get() }

@@ -67,12 +67,13 @@ func TestRAMMemoryBits(t *testing.T) {
 
 func TestRAMClockGating(t *testing.T) {
 	r := NewRAM()
+	act := watch(r)
 	sim := hdl.NewSimulator(r)
 	// After a write cycle, exactly one word is ungated.
 	sim.MustStep(ramIn(1, 1, 0x20, 1))
 	ungated := 0
-	for _, e := range r.Elements() {
-		if !e.Gated() {
+	for i := range act.elems {
+		if !act.gated(i) {
 			ungated++
 		}
 	}
@@ -81,8 +82,8 @@ func TestRAMClockGating(t *testing.T) {
 	}
 	// After an idle cycle everything is gated again.
 	sim.MustStep(ramIn(0, 0, 0, 0))
-	for _, e := range r.Elements() {
-		if !e.Gated() {
+	for i, e := range act.elems {
+		if !act.gated(i) {
 			t.Fatalf("element %s ungated while idle", e.Name())
 		}
 	}
@@ -90,34 +91,27 @@ func TestRAMClockGating(t *testing.T) {
 
 func TestRAMWriteToggleActivity(t *testing.T) {
 	r := NewRAM()
+	act := watch(r)
 	sim := hdl.NewSimulator(r)
 	sim.MustStep(ramIn(1, 1, 0, 0x0000ffff))
-	if got := totalToggles(r); got != 16 {
+	if got := act.total(); got != 16 {
 		t.Errorf("first write toggles = %d, want 16", got)
 	}
 	sim.MustStep(ramIn(1, 1, 0, 0xffff0000))
-	if got := totalToggles(r); got != 32 {
+	if got := act.total(); got != 32 {
 		t.Errorf("rewrite toggles = %d, want 32", got)
 	}
 	sim.MustStep(ramIn(1, 0, 0, 0)) // read: no toggles
-	if got := totalToggles(r); got != 0 {
+	if got := act.total(); got != 0 {
 		t.Errorf("read toggles = %d, want 0", got)
 	}
-}
-
-func totalToggles(c hdl.Core) int {
-	n := 0
-	for _, e := range c.Elements() {
-		n += e.TakeToggles()
-	}
-	return n
 }
 
 func TestRAMReset(t *testing.T) {
 	r := NewRAM()
 	sim := hdl.NewSimulator(r)
 	sim.MustStep(ramIn(1, 1, 0x40, 77))
-	sim.Reset()
+	sim = hdl.NewSimulator(r) // resets the core
 	out := sim.MustStep(ramIn(1, 0, 0x40, 0))
 	if got := out["rdata"].Uint64(); got != 0 {
 		t.Errorf("after reset rdata = %#x", got)

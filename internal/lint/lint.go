@@ -116,8 +116,8 @@ func isDotDot(rel string) bool {
 }
 
 // Run loads the packages matched by patterns (relative to root, which
-// must lie inside a module) and applies every rule. Findings are sorted
-// by position.
+// must lie inside a module, so "./..." names root's subtree) and applies
+// every rule. Findings are sorted by position.
 func Run(root string, patterns []string) ([]Finding, error) {
 	rules := Rules()
 	workers := runtime.GOMAXPROCS(0)
@@ -131,9 +131,13 @@ func Run(root string, patterns []string) ([]Finding, error) {
 	}
 
 	// Pass 1 — load. Parsing fans out (the token.FileSet synchronizes
-	// internally); type-checking stays serial because the import graph
-	// orders it.
+	// internally); one `go list` call then lists the export data of
+	// every import outside the module; type-checking stays serial
+	// because the import graph orders it.
 	l.parseAll(dirs, workers)
+	if err := l.loadExports(dirs); err != nil {
+		return nil, err
+	}
 	var targets []*Package
 	for _, dir := range dirs {
 		pkg, err := l.loadDir(dir)
@@ -205,14 +209,13 @@ func Run(root string, patterns []string) ([]Finding, error) {
 
 // suppressions indexes //psmlint:ignore directives by file and line.
 type suppressions struct {
-	fset *token.FileSet
 	// byLine maps file:line to the rule ids ignored there ("all" matches
 	// every rule).
 	byLine map[string][]string
 }
 
 func newSuppressions(p *Package) *suppressions {
-	s := &suppressions{fset: p.Fset, byLine: map[string][]string{}}
+	s := &suppressions{byLine: map[string][]string{}}
 	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {

@@ -7,9 +7,12 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -20,6 +23,7 @@ import (
 // serial, ordered by the import graph through Import.
 type loader struct {
 	fset    *token.FileSet
+	root    string // the directory relative patterns resolve against
 	modRoot string
 	modPath string
 	std     types.Importer
@@ -42,16 +46,19 @@ type loadedPkg struct {
 }
 
 func newLoader(root string) (*loader, error) {
-	modRoot, modPath, err := findModule(root)
+	abs, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
+	modRoot, modPath, err := findModule(abs)
+	if err != nil {
+		return nil, err
+	}
 	return &loader{
-		fset:    fset,
+		fset:    token.NewFileSet(),
+		root:    abs,
 		modRoot: modRoot,
 		modPath: modPath,
-		std:     importer.ForCompiler(fset, "gc", nil),
 		parsed:  map[string]*parsedDir{},
 		pkgs:    map[string]*loadedPkg{},
 		byPath:  map[string]*types.Package{},
@@ -76,13 +83,9 @@ func (l *loader) loaded() []*Package {
 	return out
 }
 
-// findModule walks up from dir to the enclosing go.mod and parses the
-// module path.
-func findModule(dir string) (string, string, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return "", "", err
-	}
+// findModule walks up from the absolute directory abs to the enclosing
+// go.mod and parses the module path.
+func findModule(abs string) (string, string, error) {
 	for d := abs; ; d = filepath.Dir(d) {
 		data, err := os.ReadFile(filepath.Join(d, "go.mod"))
 		if err == nil {
@@ -102,6 +105,8 @@ func findModule(dir string) (string, string, error) {
 
 // expand resolves package patterns ("./...", "dir", "dir/...") into
 // package directories, skipping vendor, testdata and hidden trees.
+// Relative patterns resolve against the loader's root, as `go vet`
+// resolves them against the working directory.
 func (l *loader) expand(patterns []string) ([]string, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -125,7 +130,7 @@ func (l *loader) expand(patterns []string) ([]string, error) {
 		}
 		base := pat
 		if !filepath.IsAbs(base) {
-			base = filepath.Join(l.modRoot, pat)
+			base = filepath.Join(l.root, pat)
 		}
 		st, err := os.Stat(base)
 		if err != nil || !st.IsDir() {
@@ -225,10 +230,86 @@ func (l *loader) parseDir(dir string) *parsedDir {
 	return pd
 }
 
+// moduleDir maps an import path inside the module to its directory.
+func (l *loader) moduleDir(path string) (string, bool) {
+	if path != l.modPath && !strings.HasPrefix(path, l.modPath+"/") {
+		return "", false
+	}
+	rel := strings.TrimPrefix(strings.TrimPrefix(path, l.modPath), "/")
+	return filepath.Join(l.modRoot, filepath.FromSlash(rel)), true
+}
+
+// loadExports points the importer of packages outside the module at
+// their compiled export data, listed by one `go list -export -deps` call
+// over every outside import that the module packages reachable from
+// dirs name. (The gc importer's default lookup runs one `go list`
+// subprocess per imported package; type-checking the standard library
+// from source would cost several seconds per run.)
+func (l *loader) loadExports(dirs []string) error {
+	exports := map[string]string{}
+	if imports := l.externalImports(dirs); len(imports) > 0 {
+		args := append([]string{"list", "-e", "-export", "-deps", "-f", "{{.ImportPath}} {{.Export}}"}, imports...)
+		cmd := exec.Command("go", args...)
+		cmd.Dir = l.modRoot
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			return fmt.Errorf("lint: go list -export: %v: %s", err, strings.TrimSpace(stderr.String()))
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			if path, file, ok := strings.Cut(line, " "); ok && file != "" {
+				exports[path] = file
+			}
+		}
+	}
+	l.std = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
+		if file, ok := exports[path]; ok {
+			return os.Open(file)
+		}
+		return nil, fmt.Errorf("lint: no export data for %q", path)
+	})
+	return nil
+}
+
+// externalImports returns, sorted, the import paths outside the module
+// that the Go files of dirs, and of every module package they reach,
+// name.
+func (l *loader) externalImports(dirs []string) []string {
+	seen := map[string]bool{}
+	ext := map[string]bool{}
+	queue := append([]string(nil), dirs...)
+	for len(queue) > 0 {
+		dir := queue[0]
+		queue = queue[1:]
+		if seen[dir] {
+			continue
+		}
+		seen[dir] = true
+		for _, f := range l.parseDir(dir).files {
+			for _, spec := range f.Imports {
+				path, err := strconv.Unquote(spec.Path.Value)
+				if err != nil || path == "C" {
+					continue
+				}
+				if d, ok := l.moduleDir(path); ok {
+					queue = append(queue, d)
+				} else {
+					ext[path] = true
+				}
+			}
+		}
+	}
+	paths := make([]string, 0, len(ext))
+	for p := range ext {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	return paths
+}
+
 // Import implements types.Importer: module-internal paths load from the
-// module tree, everything else from the toolchain's compiled export
-// data (type-checking the standard library from source would cost
-// several seconds per run).
+// module tree, everything else from the export data loadExports listed.
 func (l *loader) Import(path string) (*types.Package, error) {
 	if path == "C" {
 		return nil, fmt.Errorf("lint: cgo is not supported")
@@ -236,9 +317,8 @@ func (l *loader) Import(path string) (*types.Package, error) {
 	if p, ok := l.byPath[path]; ok {
 		return p, nil
 	}
-	if path == l.modPath || strings.HasPrefix(path, l.modPath+"/") {
-		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.modPath), "/")
-		pkg, err := l.loadDir(filepath.Join(l.modRoot, filepath.FromSlash(rel)))
+	if dir, ok := l.moduleDir(path); ok {
+		pkg, err := l.loadDir(dir)
 		if err != nil {
 			return nil, err
 		}

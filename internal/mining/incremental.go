@@ -130,9 +130,6 @@ func NewObserver(atoms []Atom) *Observer {
 // NumAtoms returns the candidate count (the bitset width).
 func (o *Observer) NumAtoms() int { return len(o.atoms) }
 
-// Rows returns the number of rows observed so far.
-func (o *Observer) Rows() int { return o.rows }
-
 // ObserveBatch folds a batch of rows into the statistics, writing row
 // r's packed truth bits at dst[r*SigWords(NumAtoms()):] (a short or nil
 // dst is reallocated; the returned slice aliases dst when it was large

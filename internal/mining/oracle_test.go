@@ -352,8 +352,8 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 			if !reflect.DeepEqual(want.Stats(), got.Stats()) {
 				t.Fatalf("%s/batch %d: statistics differ:\n got %+v\nwant %+v", name, batch, got.Stats(), want.Stats())
 			}
-			if want.Rows() != got.Rows() {
-				t.Fatalf("%s/batch %d: %d rows, oracle %d", name, batch, got.Rows(), want.Rows())
+			if want.rows != got.rows {
+				t.Fatalf("%s/batch %d: %d rows, oracle %d", name, batch, got.rows, want.rows)
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package mining
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -36,13 +35,11 @@ import (
 // never written again — EvalRow is then safe for any number of
 // concurrent readers.
 //
-// workers ≤ 0 selects GOMAXPROCS. The trace is the unit of parallelism:
-// a one-trace set is reduced on one goroutine. Cancelling ctx aborts the
-// scan and returns ctx.Err().
+// workers ≤ 1 reduces on the calling goroutine; callers resolve a
+// GOMAXPROCS default themselves (pipeline.Config.Parallelism). The trace
+// is the unit of parallelism: a one-trace set is reduced on one
+// goroutine. Cancelling ctx aborts the scan and returns ctx.Err().
 func MineParallel(ctx context.Context, traces []*trace.Functional, cfg Config, workers int) (*Dictionary, []*PropTrace, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	ctx, span := obs.Start(ctx, "mine", obs.KV("traces", len(traces)))
 	defer span.End()
 	total, err := validateTraces(traces)

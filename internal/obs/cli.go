@@ -82,15 +82,6 @@ func (c *CLI) Start(ctx context.Context) (context.Context, error) {
 	return ctx, nil
 }
 
-// Registry returns the active metrics registry (nil when -metrics is
-// off) — for counters a tool maintains itself, outside the pipeline.
-func (c *CLI) Registry() *Registry {
-	if c == nil {
-		return nil
-	}
-	return c.reg
-}
-
 // Finish flushes every sink: stops the CPU profile, writes the heap
 // profile, the metrics text, the provenance NDJSON, and — when tracing
 // — the span summary tree to summary. It returns the first flush error.

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"testing"
 
-	"psmkit/internal/experiment"
 	"psmkit/internal/obs"
 	"psmkit/internal/pipeline"
 	"psmkit/internal/stats"
@@ -34,11 +33,11 @@ func TestPropertyObservedBuildIdentical(t *testing.T) {
 	if testing.Short() {
 		seeds = 4
 	}
-	pol := experiment.DefaultPolicies()
+	cfg := pipeline.DefaultConfig()
+	cfg.Workers = 4
 	for seed := 0; seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		c := genCase(rng)
-		cfg := pipeline.Config{Workers: 4, Mining: pol.Mining, Merge: pol.Merge, Calibration: pol.Calibration}
 
 		plain, plainErr := pipeline.BuildModel(context.Background(), c.fts, c.pws, c.cols, cfg)
 		ctx, _ := obsCtx()
@@ -77,15 +76,15 @@ func TestPropertyObservedBuildIdentical(t *testing.T) {
 // attached and returns the canonical decision list.
 func buildWithProvenance(t *testing.T, c propCase, workers int) []obs.MergeDecision {
 	t.Helper()
-	pol := experiment.DefaultPolicies()
-	cfg := pipeline.Config{Workers: workers, Mining: pol.Mining, Merge: pol.Merge}
+	cfg := pipeline.DefaultConfig()
+	cfg.Workers = workers
 	log := obs.NewProvenanceLog()
 	ctx := obs.WithProvenance(context.Background(), log)
 	chains, err := pipeline.BuildChains(ctx, c.fts, c.pws, cfg)
 	if err != nil {
 		t.Skipf("trace set unbuildable: %v", err)
 	}
-	if _, err := pipeline.TreeJoin(ctx, chains, pol.Merge, workers); err != nil {
+	if _, err := pipeline.TreeJoin(ctx, chains, cfg.Merge, workers); err != nil {
 		t.Skipf("join failed: %v", err)
 	}
 	return log.Decisions()
@@ -115,7 +114,7 @@ func TestProvenanceDeterministicAcrossWorkers(t *testing.T) {
 // policy on the logged moments must reproduce the logged test, case,
 // statistic and verdict — the audit log is self-verifying.
 func TestProvenanceReplay(t *testing.T) {
-	pol := experiment.DefaultPolicies()
+	pol := pipeline.DefaultConfig()
 	total := 0
 	for seed := 0; seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))

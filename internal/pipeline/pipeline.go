@@ -26,13 +26,14 @@ import (
 	"psmkit/internal/trace"
 )
 
-// Config bundles the flow policies and the worker budget.
+// Config bundles the flow policies and the worker budget. It is the one
+// declaration of the flow's tunables: the paper tables, the
+// hierarchical flow, psmgen and psmd's engines all take it.
 type Config struct {
 	// Workers bounds the goroutines used by each stage; ≤ 0 selects
-	// runtime.GOMAXPROCS(0).
+	// runtime.GOMAXPROCS(0) (see Parallelism).
 	Workers int
-	// Mining, Merge and Calibration are the paper-flow tunables, exactly
-	// as in the sequential pipeline.
+	// Mining, Merge and Calibration are the paper-flow tunables.
 	Mining      mining.Config
 	Merge       psm.MergePolicy
 	Calibration psm.CalibrationPolicy
@@ -50,7 +51,9 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c Config) workers() int {
+// Parallelism is the worker count the stages run with: Workers, or
+// GOMAXPROCS when Workers ≤ 0.
+func (c Config) Parallelism() int {
 	if c.Workers > 0 {
 		return c.Workers
 	}
@@ -58,8 +61,11 @@ func (c Config) workers() int {
 }
 
 // BuildModel runs mining → PSMGenerator → simplify → join → calibrate
-// with the per-trace stages parallelized. The output is bit-identical to
-// the sequential flow (experiment.BuildModel) for any worker count.
+// with the per-trace stages parallelized. It is the one build entry
+// point: psmgen, the paper tables (experiment.BuildModel, at one worker)
+// and psmbench's batch workload all run it. The output is bit-identical
+// for any worker count to the sequential five-call flow kept as the
+// parity suites' oracle (sequentialBuild in pipeline_test.go).
 // Cancelling ctx aborts between work items with ctx.Err().
 func BuildModel(ctx context.Context, fts []*trace.Functional, pws []*trace.Power, inputCols []int, cfg Config) (*psm.Model, error) {
 	ctx, span := obs.Start(ctx, "build", obs.KV("traces", len(fts)))
@@ -86,7 +92,7 @@ func BuildChains(ctx context.Context, fts []*trace.Functional, pws []*trace.Powe
 	}
 	ctx, span := obs.Start(ctx, "chains", obs.KV("traces", len(fts)))
 	defer span.End()
-	workers := cfg.workers()
+	workers := cfg.Parallelism()
 
 	dict, pts, err := mining.MineParallel(ctx, fts, cfg.Mining, workers)
 	if err != nil {

@@ -3,15 +3,42 @@ package pipeline_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"psmkit/internal/experiment"
+	"psmkit/internal/mining"
 	"psmkit/internal/pipeline"
 	"psmkit/internal/psm"
 	"psmkit/internal/testbench"
 	"psmkit/internal/trace"
 )
+
+// sequentialBuild is the oracle of the parity suites: the paper's flow
+// as five sequential calls — mining.Mine, then psm.Generate and
+// psm.Simplify per trace, psm.Join and psm.Calibrate — with no worker
+// pool. pipeline.BuildModel must match it byte for byte at every worker
+// count.
+func sequentialBuild(fts []*trace.Functional, pws []*trace.Power, inputCols []int, cfg pipeline.Config) (*psm.Model, error) {
+	dict, pts, err := mining.Mine(fts, cfg.Mining)
+	if err != nil {
+		return nil, err
+	}
+	var chains []*psm.Chain
+	for i, pt := range pts {
+		c, err := psm.Generate(dict, pt, pws[i], i)
+		if err != nil {
+			return nil, fmt.Errorf("trace %d: %w", i, err)
+		}
+		chains = append(chains, psm.Simplify(c, cfg.Merge))
+	}
+	model := psm.Join(chains, cfg.Merge)
+	if !cfg.SkipCalibration {
+		psm.Calibrate(model, fts, pws, inputCols, cfg.Calibration)
+	}
+	return model, nil
+}
 
 // exportBytes renders the model through both canonical exporters.
 func exportBytes(t *testing.T, m *psm.Model) ([]byte, []byte) {
@@ -42,26 +69,21 @@ func ipTraces(t testing.TB, name string, total, pieces int) *experiment.TraceSet
 
 // TestBuildModelMatchesSequentialOnIPs is the core determinism contract:
 // on real benchmark workloads the parallel flow must reproduce the
-// sequential experiment.BuildModel byte for byte in both exporters, for
-// every worker count.
+// sequential oracle byte for byte in both exporters, for every worker
+// count.
 func TestBuildModelMatchesSequentialOnIPs(t *testing.T) {
 	for _, name := range []string{"RAM", "MultSum", "AES"} {
 		t.Run(name, func(t *testing.T) {
 			ts := ipTraces(t, name, 2400, experiment.Pieces)
-			pol := experiment.DefaultPolicies()
-			flow, err := experiment.BuildModel(ts, pol)
+			cfg := pipeline.DefaultConfig()
+			seq, err := sequentialBuild(ts.FTs, ts.PWs, ts.InputCols, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantDOT, wantJSON := exportBytes(t, flow.Model)
+			wantDOT, wantJSON := exportBytes(t, seq)
 
 			for _, workers := range []int{1, 2, 3, 4, 8} {
-				cfg := pipeline.Config{
-					Workers:     workers,
-					Mining:      pol.Mining,
-					Merge:       pol.Merge,
-					Calibration: pol.Calibration,
-				}
+				cfg.Workers = workers
 				m, err := pipeline.BuildModel(context.Background(), ts.FTs, ts.PWs, ts.InputCols, cfg)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)

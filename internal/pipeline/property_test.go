@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"psmkit/internal/experiment"
 	"psmkit/internal/logic"
 	"psmkit/internal/pipeline"
 	"psmkit/internal/trace"
@@ -86,11 +85,10 @@ func genCase(rng *rand.Rand) propCase {
 // non-empty mismatch description when they disagree. Both flows failing
 // (for any reason) counts as agreement; exactly one failing does not.
 func runBoth(c propCase, workers int) string {
-	pol := experiment.DefaultPolicies()
-	ts := &experiment.TraceSet{FTs: c.fts, PWs: c.pws, InputCols: c.cols}
-	flow, seqErr := experiment.BuildModel(ts, pol)
+	cfg := pipeline.DefaultConfig()
+	seq, seqErr := sequentialBuild(c.fts, c.pws, c.cols, cfg)
 
-	cfg := pipeline.Config{Workers: workers, Mining: pol.Mining, Merge: pol.Merge, Calibration: pol.Calibration}
+	cfg.Workers = workers
 	par, parErr := pipeline.BuildModel(context.Background(), c.fts, c.pws, c.cols, cfg)
 
 	switch {
@@ -102,7 +100,6 @@ func runBoth(c propCase, workers int) string {
 		return fmt.Sprintf("parallel failed (%v) but sequential succeeded", parErr)
 	}
 
-	seq := flow.Model
 	if seq.NumStates() != par.NumStates() || seq.NumTransitions() != par.NumTransitions() {
 		return fmt.Sprintf("shape differs: seq %d states/%d transitions, par %d/%d",
 			seq.NumStates(), seq.NumTransitions(), par.NumStates(), par.NumTransitions())
@@ -154,7 +151,7 @@ func shrink(c propCase, workers int) propCase {
 				continue
 			}
 			cand := propCase{cols: c.cols, fts: append([]*trace.Functional{}, c.fts...), pws: append([]*trace.Power{}, c.pws...)}
-			cand.fts[i] = c.fts[i].Slice(0, n/2)
+			cand.fts[i] = prefix(c.fts[i], n/2)
 			cand.pws[i] = &trace.Power{Values: c.pws[i].Values[:n/2]}
 			if runBoth(cand, workers) != "" {
 				c = cand
@@ -164,6 +161,15 @@ func shrink(c propCase, workers int) propCase {
 		}
 	}
 	return c
+}
+
+// prefix copies the first n instants of a functional trace.
+func prefix(ft *trace.Functional, n int) *trace.Functional {
+	out := trace.NewFunctional(ft.Signals)
+	for t := 0; t < n; t++ {
+		out.Append(ft.Row(t))
+	}
+	return out
 }
 
 // TestPropertyParallelEquivalence is the randomized equivalence suite:

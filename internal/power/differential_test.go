@@ -56,7 +56,6 @@ type estimator interface {
 	GroupTrace(string) []float64
 	Observer() hdl.Observer
 	Trace() []float64
-	Reset()
 }
 
 // runKernel drives a fresh core instance for n cycles under the seeded
@@ -185,8 +184,9 @@ func TestColumnarMatchesReferenceAfterReset(t *testing.T) {
 		}
 		first := append([]float64(nil), est.Trace()...)
 
-		sim.Reset()
-		est.Reset()
+		sim = hdl.NewSimulator(core) // resets the core
+		sim.Observe(est.Observer())
+		reset(est, core)
 		gen, err = testbench.For(core, testbench.Options{Seed: 7})
 		if err != nil {
 			t.Fatal(err)

@@ -107,9 +107,9 @@ func TestClassifyAfterFirstCyclePanics(t *testing.T) {
 		ref.Classify(func(string) string { return "g" })
 	})
 
-	// Reset re-arms classification: a reset estimator has no recorded
+	// A reset re-arms classification: a reset estimator has no recorded
 	// cycles to desynchronize from.
-	est.Reset()
+	reset(est, core)
 	est.Classify(func(string) string { return "g" })
 }
 
@@ -157,7 +157,7 @@ func TestBoundaryHistoryOwnership(t *testing.T) {
 	est := NewEstimator(core, noNoise())
 	in0 := hdl.Values{"go": logic.FromUint64(1, 0)}
 	est.CyclePower(in0, core.Step(in0))
-	est.Reset()
+	reset(est, core)
 	core.Reset()
 	in1 := hdl.Values{"go": logic.FromUint64(1, 1)}
 	out1 := core.Step(in1)

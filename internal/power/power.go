@@ -174,13 +174,6 @@ func (b *boundary) toggles(cur hdl.Values) int {
 	return n
 }
 
-func (b *boundary) reset() {
-	for i := range b.prev {
-		b.prev[i], b.ok[i] = logic.Vector{}, false
-	}
-	b.armed = false
-}
-
 // Estimator computes per-cycle dynamic power for one core over columnar
 // activity state. Create it with NewEstimator after the core is
 // constructed — this binds the core's elements to a fresh
@@ -193,7 +186,6 @@ func (b *boundary) reset() {
 // is the same set for any simulator-driven core.
 type Estimator struct {
 	cfg   Config
-	core  hdl.Core
 	elems []*hdl.Reg
 	bank  *hdl.ToggleBank
 	// dataCap[i] is the per-toggle capacitance of elems[i]; clockCap[i] is
@@ -234,7 +226,6 @@ func NewEstimator(core hdl.Core, cfg Config) *Estimator {
 	start := time.Now()
 	e := &Estimator{
 		cfg:   cfg,
-		core:  core,
 		elems: core.Elements(),
 		ioCap: cfg.IOCapF,
 		scale: 0.5 * cfg.VDD * cfg.VDD * cfg.ClockHz,
@@ -279,23 +270,6 @@ func (e *Estimator) Groups() []string { return e.groupNames }
 // GroupTrace returns the recorded power trace of a group, or nil.
 func (e *Estimator) GroupTrace(name string) []float64 {
 	return groupTraceByName(e.groupNames, e.groupTraces, name)
-}
-
-// Reset clears the boundary history, the jitter stream and the recorded
-// traces. Pending element activity is left to the core's own Reset, like
-// the per-Reg counters the bank replaced.
-func (e *Estimator) Reset() {
-	e.in.reset()
-	e.out.reset()
-	e.rng = e.cfg.Seed ^ hashName(e.core.Name())
-	e.trace = nil
-	e.started = false
-	for i := range e.groupTraces {
-		e.groupTraces[i] = nil
-	}
-	for i := range e.groupAccum {
-		e.groupAccum[i] = 0
-	}
 }
 
 // CyclePower returns the dynamic power (in watts) consumed during the

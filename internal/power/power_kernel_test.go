@@ -10,20 +10,21 @@ import (
 	"psmkit/internal/logic"
 )
 
-// ReferenceEstimator is the historical scalar power kernel, retained
-// verbatim as the test oracle of the columnar Estimator (the restart
-// scan plays the same role for the worklist join engine in
-// internal/psm): it walks every element of the design every cycle
-// through the per-Reg accessors and keeps its boundary history as
-// cloned Values maps. Element order, float operation order and the
+// ReferenceEstimator is the historical scalar power kernel, retained as
+// the test oracle of the columnar Estimator (the restart scan plays the
+// same role for the worklist join engine in internal/psm): it walks
+// every element of the design every cycle — draining its slot and
+// testing its gating bit one element at a time, where the Estimator
+// skips quiescent words — and keeps its boundary history as cloned
+// Values maps. Element order, float operation order and the
 // jitter stream are exactly the Estimator's, so for any core and
 // stimulus the two kernels must produce bit-identical total and
 // per-group traces — pinned by TestColumnarMatchesReference, and timed
 // against the Estimator by TestPowerKernelGate.
 type ReferenceEstimator struct {
 	cfg      Config
-	core     hdl.Core
 	elems    []*hdl.Reg
+	bank     *hdl.ToggleBank
 	dataCap  []float64
 	clockCap []float64
 	ioCap    float64
@@ -48,13 +49,13 @@ type ReferenceEstimator struct {
 func NewReferenceEstimator(core hdl.Core, cfg Config) *ReferenceEstimator {
 	e := &ReferenceEstimator{
 		cfg:   cfg,
-		core:  core,
 		elems: core.Elements(),
 		ioCap: cfg.IOCapF,
 		scale: 0.5 * cfg.VDD * cfg.VDD * cfg.ClockHz,
 		rng:   cfg.Seed ^ hashName(core.Name()),
 	}
 	e.dataCap, e.clockCap = elaborateCaps(e.elems, cfg)
+	e.bank = hdl.NewToggleBank(e.elems)
 	return e
 }
 
@@ -78,40 +79,29 @@ func (e *ReferenceEstimator) GroupTrace(name string) []float64 {
 	return groupTraceByName(e.groupNames, e.groupTraces, name)
 }
 
-// Reset clears the boundary history, the jitter stream and the recorded
-// traces.
-func (e *ReferenceEstimator) Reset() {
-	e.prevIn, e.prevOut = nil, nil
-	e.rng = e.cfg.Seed ^ hashName(e.core.Name())
-	e.trace = nil
-	e.started = false
-	for i := range e.groupTraces {
-		e.groupTraces[i] = nil
-	}
-	for i := range e.groupAccum {
-		e.groupAccum[i] = 0
-	}
-}
-
-// CyclePower is the historical per-element walk: one TakeToggles/Gated
-// round trip per element per cycle, plus a full clone of both boundary
-// maps.
+// CyclePower is the historical per-element walk: one slot drain and
+// one gating-bit test per element per cycle, plus a full clone of both
+// boundary maps.
 func (e *ReferenceEstimator) CyclePower(in, out hdl.Values) float64 {
 	e.started = true
 	var c float64
 	grouped := e.groupOf != nil
-	for i, r := range e.elems {
+	gated := e.bank.GatedPlane()
+	for i := range e.elems {
 		var ec float64
-		if t := r.TakeToggles(); t != 0 {
+		if t := e.bank.DrainSlot(i); t != 0 {
 			ec += float64(t) * e.dataCap[i]
 		}
-		if !r.Gated() {
+		if gated[i/64]&(1<<uint(i%64)) == 0 {
 			ec += e.clockCap[i]
 		}
 		c += ec
 		if grouped {
 			e.groupAccum[e.groupOf[i]] += ec
 		}
+	}
+	for w := range e.bank.TouchedPlane() {
+		e.bank.ClearTouchedWord(w)
 	}
 	io := float64(boundaryToggles(e.prevIn, in)) * e.ioCap
 	io += float64(boundaryToggles(e.prevOut, out)) * e.ioCap

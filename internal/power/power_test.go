@@ -156,6 +156,29 @@ func TestSeedChangesJitterOnly(t *testing.T) {
 	}
 }
 
+// reset rewinds an estimator for a replay of its core: boundary
+// history, jitter stream and recorded traces go back to their state
+// after NewEstimator (a core binds one estimator for life, so a replay
+// on the same core cannot build a fresh one). Pending element activity
+// is left to the core's own Reset.
+func reset(e *Estimator, core hdl.Core) {
+	for _, b := range []*boundary{e.in, e.out} {
+		for i := range b.prev {
+			b.prev[i], b.ok[i] = logic.Vector{}, false
+		}
+		b.armed = false
+	}
+	e.rng = e.cfg.Seed ^ hashName(core.Name())
+	e.trace = nil
+	e.started = false
+	for i := range e.groupTraces {
+		e.groupTraces[i] = nil
+	}
+	for i := range e.groupAccum {
+		e.groupAccum[i] = 0
+	}
+}
+
 func TestEstimatorReset(t *testing.T) {
 	core := newToggler()
 	sim := hdl.NewSimulator(core)
@@ -166,8 +189,9 @@ func TestEstimatorReset(t *testing.T) {
 		sim.MustStep(hdl.Values{"go": logic.FromUint64(1, g)})
 	}
 	first := append([]float64(nil), est.Trace()...)
-	sim.Reset()
-	est.Reset()
+	sim = hdl.NewSimulator(core) // resets the core
+	sim.Observe(est.Observer())
+	reset(est, core)
 	for _, g := range stim {
 		sim.MustStep(hdl.Values{"go": logic.FromUint64(1, g)})
 	}
@@ -256,8 +280,9 @@ func TestClassifyResetClearsGroups(t *testing.T) {
 		sim.MustStep(hdl.Values{"go": logic.FromUint64(1, g)})
 	}
 	first := append([]float64(nil), est.GroupTrace("all")...)
-	sim.Reset()
-	est.Reset()
+	sim = hdl.NewSimulator(core) // resets the core
+	sim.Observe(est.Observer())
+	reset(est, core)
 	if got := est.GroupTrace("all"); len(got) != 0 {
 		t.Fatalf("group trace not cleared: %d entries", len(got))
 	}

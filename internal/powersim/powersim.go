@@ -100,7 +100,6 @@ type Simulator struct {
 	prevProp int
 	hasPrev  bool
 	hd       float64
-	hdValid  bool
 
 	cur       int // current state id, -1 when unsynchronized
 	entryFrom int // state we entered cur from, -1 if initial/jump

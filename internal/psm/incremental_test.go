@@ -162,7 +162,7 @@ func TestJoinerSnapshotDoesNotMutateFold(t *testing.T) {
 
 // TestJoinerResetReuseAcrossEpochs is the reuse-across-epochs
 // regression test: Reset must void the fold, the verdict memo and its
-// eval/hit accounting atomically, leaving the joiner indistinguishable
+// eval accounting atomically, leaving the joiner indistinguishable
 // from a fresh NewJoiner — the second epoch's model and its memo
 // counters must both equal a fresh joiner's over the same chains.
 func TestJoinerResetReuseAcrossEpochs(t *testing.T) {
@@ -176,19 +176,19 @@ func TestJoinerResetReuseAcrossEpochs(t *testing.T) {
 		j.Add(ctx, c)
 	}
 	j.Snapshot(ctx)
-	if j.Memo().Evals() == 0 || j.Memo().Len() == 0 {
-		t.Fatalf("memo unused by the fold: %d evals, %d entries", j.Memo().Evals(), j.Memo().Len())
+	if j.memo.Evals() == 0 || len(j.memo.m) == 0 {
+		t.Fatalf("memo unused by the fold: %d evals, %d entries", j.memo.Evals(), len(j.memo.m))
 	}
 
 	j.Reset()
 	if j.Pooled() != 0 {
 		t.Fatalf("reset left %d pooled states", j.Pooled())
 	}
-	if n := j.Memo().Len(); n != 0 {
+	if n := len(j.memo.m); n != 0 {
 		t.Fatalf("reset kept %d memoized verdicts, want 0", n)
 	}
-	if e, h := j.Memo().Evals(), j.Memo().Hits(); e != 0 || h != 0 {
-		t.Fatalf("reset kept memo accounting: %d evals, %d hits, want 0/0", e, h)
+	if e := j.memo.Evals(); e != 0 {
+		t.Fatalf("reset kept memo accounting: %d evals, want 0", e)
 	}
 
 	// Epoch 2 on the reused joiner vs a fresh one: identical model,
@@ -205,11 +205,9 @@ func TestJoinerResetReuseAcrossEpochs(t *testing.T) {
 	if pooled := joinOracle(ctx, epoch2, DefaultMergePolicy()); !reflect.DeepEqual(pooled, got) {
 		t.Fatal("post-reset re-fold diverges from the pooled oracle")
 	}
-	if j.Memo().Evals() != fresh.Memo().Evals() || j.Memo().Hits() != fresh.Memo().Hits() ||
-		j.Memo().Len() != fresh.Memo().Len() {
-		t.Fatalf("reused joiner's memo accounting differs from fresh: %d/%d/%d vs %d/%d/%d",
-			j.Memo().Evals(), j.Memo().Hits(), j.Memo().Len(),
-			fresh.Memo().Evals(), fresh.Memo().Hits(), fresh.Memo().Len())
+	if j.memo.Evals() != fresh.memo.Evals() || len(j.memo.m) != len(fresh.memo.m) {
+		t.Fatalf("reused joiner's memo accounting differs from fresh: %d/%d vs %d/%d",
+			j.memo.Evals(), len(j.memo.m), fresh.memo.Evals(), len(fresh.memo.m))
 	}
 }
 
@@ -229,16 +227,15 @@ func TestJoinerMemoShared(t *testing.T) {
 		return j.Snapshot(ctx)
 	}
 	first := fold()
-	evals, hits := memo.Evals(), memo.Hits()
+	evals := memo.Evals()
 	if evals == 0 {
 		t.Fatal("the first fold evaluated nothing")
 	}
 	second := fold()
-	// Every verdict the first fold computed is a hit now; a memo reset
-	// would zero the accounting and recompute them instead.
-	if memo.Evals() != evals || memo.Hits() < hits+evals {
-		t.Fatalf("second fold: %d evals / %d hits, want %d evals and at least %d hits",
-			memo.Evals(), memo.Hits(), evals, hits+evals)
+	// Every verdict the first fold computed is served from the memo now;
+	// a memo reset would recompute them instead.
+	if memo.Evals() != evals {
+		t.Fatalf("second fold: %d evals, want %d", memo.Evals(), evals)
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Fatal("a shared memo changed the model")
@@ -246,20 +243,21 @@ func TestJoinerMemoShared(t *testing.T) {
 }
 
 // TestEvalMemo pins the memo's accounting: first sight computes, repeat
-// sight hits, and the ordered key distinguishes (a,b) from (b,a).
+// sight is served from the cache, and the ordered key distinguishes
+// (a,b) from (b,a).
 func TestEvalMemo(t *testing.T) {
 	mo := NewEvalMemo(DefaultMergePolicy())
 	a := stats.MomentsOf([]float64{1, 1.01, 0.99})
 	b := stats.MomentsOf([]float64{2, 2.02})
 	out := mo.Evaluate(a, b)
-	if mo.Evals() != 1 || mo.Hits() != 0 {
-		t.Fatalf("first evaluate: %d evals %d hits, want 1/0", mo.Evals(), mo.Hits())
+	if mo.Evals() != 1 || len(mo.m) != 1 {
+		t.Fatalf("first evaluate: %d evals %d entries, want 1/1", mo.Evals(), len(mo.m))
 	}
 	if again := mo.Evaluate(a, b); again != out {
 		t.Fatalf("memoized verdict differs: %+v vs %+v", again, out)
 	}
-	if mo.Evals() != 1 || mo.Hits() != 1 {
-		t.Fatalf("repeat evaluate: %d evals %d hits, want 1/1", mo.Evals(), mo.Hits())
+	if mo.Evals() != 1 {
+		t.Fatalf("repeat evaluate: %d evals, want 1", mo.Evals())
 	}
 	if mo.Evaluate(b, a) != DefaultMergePolicy().Evaluate(b, a) {
 		t.Fatal("swapped operand order must be keyed separately")
@@ -281,8 +279,8 @@ func TestEvalMemoLimit(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		mo.Evaluate(ref, stats.MomentsOf([]float64{float64(i + 2), float64(i + 2)}))
 	}
-	if mo.Len() > 4 {
-		t.Fatalf("memo holds %d entries beyond the limit 4", mo.Len())
+	if len(mo.m) > 4 {
+		t.Fatalf("memo holds %d entries beyond the limit 4", len(mo.m))
 	}
 	if mo.Evals() != 10 {
 		t.Fatalf("%d evals for 10 distinct pairs, want 10", mo.Evals())

@@ -103,15 +103,9 @@ func (j *Joiner) Reset() {
 	}
 }
 
-// Policy returns the joiner's merge policy.
-func (j *Joiner) Policy() MergePolicy { return j.policy }
-
 // Pooled returns the total number of states folded in so far — the
 // join's pre-collapse pooled state count.
 func (j *Joiner) Pooled() int { return j.pooled }
-
-// Memo exposes the verdict memo's counters (for benchmarks and tests).
-func (j *Joiner) Memo() *EvalMemo { return j.memo }
 
 // Add folds one simplified chain into the incremental join — the exact
 // decisions phase 1 makes for this chain's states after all previously

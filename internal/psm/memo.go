@@ -35,7 +35,6 @@ type EvalMemo struct {
 	m      map[momentsPair]MergeOutcome
 	limit  int
 	evals  int64
-	hits   int64
 }
 
 // NewEvalMemo returns an empty memo for one merge policy, bounded at
@@ -52,14 +51,13 @@ func NewEvalMemo(policy MergePolicy) *EvalMemo {
 // under.
 func (mo *EvalMemo) Policy() MergePolicy { return mo.policy }
 
-// Reset drops every cached verdict and zeroes the eval/hit accounting
-// in one step; the policy and entry bound survive. Joiner.Reset calls
+// Reset drops every cached verdict and zeroes the eval accounting in
+// one step; the policy and entry bound survive. Joiner.Reset calls
 // it at an epoch boundary so the memo's counters always describe one
 // epoch and the map's memory is released with the fold it served.
 func (mo *EvalMemo) Reset() {
 	mo.m = make(map[momentsPair]MergeOutcome)
 	mo.evals = 0
-	mo.hits = 0
 }
 
 // Evaluate returns the memoized verdict for the ordered pair ⟨a, b⟩,
@@ -67,7 +65,6 @@ func (mo *EvalMemo) Reset() {
 func (mo *EvalMemo) Evaluate(a, b stats.Moments) MergeOutcome {
 	k := momentsPair{a, b}
 	if out, ok := mo.m[k]; ok {
-		mo.hits++
 		return out
 	}
 	out := mo.policy.Evaluate(a, b)
@@ -85,9 +82,3 @@ func (mo *EvalMemo) Evaluate(a, b stats.Moments) MergeOutcome {
 // Evals returns the number of real MergePolicy.Evaluate computations
 // (memo misses) performed through this memo.
 func (mo *EvalMemo) Evals() int64 { return mo.evals }
-
-// Hits returns the number of verdicts served from the cache.
-func (mo *EvalMemo) Hits() int64 { return mo.hits }
-
-// Len returns the number of cached verdicts.
-func (mo *EvalMemo) Len() int { return len(mo.m) }

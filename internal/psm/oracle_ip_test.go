@@ -5,6 +5,7 @@ import (
 
 	"psmkit/internal/experiment"
 	"psmkit/internal/mining"
+	"psmkit/internal/pipeline"
 	"psmkit/internal/psm"
 	"psmkit/internal/testbench"
 )
@@ -12,7 +13,7 @@ import (
 // ipChains simulates a benchmark IP into `pieces` training traces and
 // returns their mined, generated and simplified chains in trace order —
 // the batch flow's input to the join.
-func ipChains(t *testing.T, name string, total, pieces int, pol experiment.Policies) []*psm.Chain {
+func ipChains(t *testing.T, name string, total, pieces int, pol pipeline.Config) []*psm.Chain {
 	t.Helper()
 	c, err := experiment.CaseByName(name)
 	if err != nil {

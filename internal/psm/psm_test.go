@@ -66,8 +66,8 @@ func TestFig5PSMGenerator(t *testing.T) {
 		t.Errorf("s0 n = %d, want 3", s0.Power.N)
 	}
 	wantMu := (3.349 + 3.339 + 3.353) / 3
-	if math.Abs(s0.Mean()-wantMu) > 1e-12 {
-		t.Errorf("s0 μ = %g, want %g", s0.Mean(), wantMu)
+	if math.Abs(s0.Power.Mean()-wantMu) > 1e-12 {
+		t.Errorf("s0 μ = %g, want %g", s0.Power.Mean(), wantMu)
 	}
 
 	s1 := c.States[1]
@@ -85,8 +85,8 @@ func TestFig5PSMGenerator(t *testing.T) {
 	if s2.Power.N != 1 {
 		t.Errorf("s2 n = %d, want 1 (Case 1 of Sec. IV-A requires n=1 for next-states)", s2.Power.N)
 	}
-	if math.Abs(s2.Mean()-3.350) > 1e-12 {
-		t.Errorf("s2 μ = %g, want 3.350", s2.Mean())
+	if math.Abs(s2.Power.Mean()-3.350) > 1e-12 {
+		t.Errorf("s2 μ = %g, want 3.350", s2.Power.Mean())
 	}
 
 	// Transitions: s0 --p_b--> s1 --p_c--> s2.

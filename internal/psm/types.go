@@ -142,9 +142,6 @@ type State struct {
 	Fit *stats.LinearFit
 }
 
-// Mean returns the state's constant power output ω(s) = μ.
-func (s *State) Mean() float64 { return s.Power.Mean() }
-
 // Estimate returns the state's power estimate given the current primary-
 // input Hamming distance — the regression if the state was calibrated,
 // the constant mean otherwise.

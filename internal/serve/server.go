@@ -66,23 +66,15 @@ import (
 
 // Config tunes the server.
 type Config struct {
-	// Stream configures the shard engines (policies, worker budget,
-	// per-session record bound, open-session cap); every shard gets this
-	// configuration, so MaxOpenSessions caps each shard, not the fleet.
-	Stream stream.Config
-	// Shards is the shard count of the server's shard.Coordinator; ≤ 1
-	// selects one shard. Sessions partition across the shards by
-	// consistent hash on the session id, each shard parses and reduces
-	// on its own worker behind a bounded queue (429 + Retry-After
-	// load-shed), and the served model is byte-identical for any count.
-	Shards int
-	// ShardQueueDepth bounds each shard's task queue in batches;
-	// ≤ 0 selects the shard package default (512).
-	ShardQueueDepth int
-	// ShardEnqueueTimeout is how long an append may block on a saturated
-	// shard before the upload is shed with 429 + Retry-After; ≤ 0
-	// selects the shard package default (2 s).
-	ShardEnqueueTimeout time.Duration
+	// The embedded shard.Config goes to the server's coordinator as is.
+	// Its Stream configures every shard engine (policies, worker budget,
+	// per-session record bound, open-session cap), so MaxOpenSessions
+	// caps each shard, not the fleet. Shards (≤ 1 selects one)
+	// partitions sessions by consistent hash on the session id; each
+	// shard parses and reduces on its own worker behind a bounded queue
+	// (429 + Retry-After load-shed), and the served model is
+	// byte-identical for any count.
+	shard.Config
 	// RetryAfter is the back-off hint attached to the 429s of a shard's
 	// open-session cap; ≤ 0 selects 1 s. Queue load-shed 429s use the
 	// shard's enqueue timeout instead — that is how long the queue
@@ -93,8 +85,6 @@ type Config struct {
 	// CheckOptions parameterizes the model verifier gating GET /v1/model
 	// and POST /v1/estimate.
 	CheckOptions check.Options
-	// Sim parameterizes the estimation tracker.
-	Sim powersim.Config
 	// Tracer, when set, attaches to every request context: ingestion and
 	// snapshot spans stream to it as NDJSON (psmd -trace). When nil the
 	// server still runs an internal tracer — the zero obs.Tracer, which
@@ -102,12 +92,10 @@ type Config struct {
 	// flight recorder and span window see every span.
 	Tracer *obs.Tracer
 	// Flight, when set, is the flight recorder the server's tracer and
-	// handlers capture into; nil builds a private ring of FlightEntries
-	// slots. Either way GET /debug/flight serves it.
+	// handlers capture into; nil builds a private ring of
+	// obs.DefaultFlightEntries slots. Either way GET /debug/flight
+	// serves it.
 	Flight *obs.Flight
-	// FlightEntries sizes the private flight ring when Flight is nil;
-	// ≤ 0 selects obs.DefaultFlightEntries.
-	FlightEntries int
 	// Log receives the server's structured events (upload failures,
 	// verification failures). A nil logger drops them — the flight
 	// recorder still sees span history.
@@ -130,9 +118,8 @@ type SLOConfig struct {
 // DefaultConfig returns serving-grade defaults.
 func DefaultConfig() Config {
 	return Config{
-		Stream:       stream.DefaultConfig(),
+		Config:       shard.Config{Stream: stream.DefaultConfig()},
 		CheckOptions: check.DefaultOptions(),
-		Sim:          powersim.DefaultConfig(),
 	}
 }
 
@@ -187,15 +174,10 @@ func (e *verifyError) Error() string {
 // keeps the windowed SLO instruments current.
 func New(cfg Config) *Server {
 	s := &Server{cfg: cfg, start: time.Now(), log: cfg.Log}
-	s.co = shard.New(shard.Config{
-		Shards:         cfg.Shards,
-		Stream:         cfg.Stream,
-		QueueDepth:     cfg.ShardQueueDepth,
-		EnqueueTimeout: cfg.ShardEnqueueTimeout,
-	})
+	s.co = shard.New(cfg.Config)
 	s.flight = cfg.Flight
 	if s.flight == nil {
-		s.flight = obs.NewFlight(cfg.FlightEntries)
+		s.flight = obs.NewFlight(obs.DefaultFlightEntries)
 	}
 	s.tracer = cfg.Tracer
 	if s.tracer == nil {
@@ -692,7 +674,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	sim := powersim.New(m, s.co.InputCols(), s.cfg.Sim)
+	sim := powersim.New(m, s.co.InputCols(), powersim.DefaultConfig())
 	var (
 		raw       stream.RawRecord
 		row       []logic.Vector

@@ -150,7 +150,7 @@ func TestStatusErrorBurn(t *testing.T) {
 func TestFlightHammer(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Stream.Inputs = []string{"op"}
-	cfg.FlightEntries = 16 // tiny ring: guaranteed wraparound under load
+	cfg.Flight = obs.NewFlight(16) // tiny ring: guaranteed wraparound under load
 	srv := New(cfg)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -21,12 +21,12 @@ type Config struct {
 	// Shards is the engine count; ≤ 0 selects 1 (a sharded deployment
 	// of one shard behaves exactly like a single engine, queue and all).
 	Shards int
-	// Stream configures every shard engine identically. Stream.Registry
-	// is ignored: each shard gets a private registry (per-engine gauges
-	// must not collide), and the coordinator's own registry carries the
-	// fleet-level instruments, the fleet's summed ingest counters among
-	// them. Stream.MaxOpenSessions is a PER-SHARD cap; the effective
-	// fleet cap is Shards times it.
+	// Stream configures every shard engine identically. Each shard
+	// engine keeps a private registry (per-engine gauges must not
+	// collide); the coordinator's own registry carries the fleet-level
+	// instruments, the fleet's summed ingest counters among them.
+	// Stream.MaxOpenSessions is a PER-SHARD cap; the effective fleet cap
+	// is Shards times it.
 	Stream stream.Config
 	// QueueDepth bounds each shard's task queue in batches (not
 	// records); ≤ 0 selects 512. A full queue is the backpressure
@@ -36,19 +36,6 @@ type Config struct {
 	// shard before giving up with a SaturatedError (the 429 +
 	// Retry-After path); ≤ 0 selects 2 s.
 	EnqueueTimeout time.Duration
-	// Registry receives the coordinator's instruments; nil builds a
-	// private one (Registry() exposes it either way).
-	Registry *obs.Registry
-}
-
-// DefaultConfig returns serving-grade defaults for a 4-shard fleet.
-func DefaultConfig() Config {
-	return Config{
-		Shards:         4,
-		Stream:         stream.DefaultConfig(),
-		QueueDepth:     512,
-		EnqueueTimeout: 2 * time.Second,
-	}
 }
 
 func (c Config) shards() int {
@@ -162,10 +149,7 @@ type shard struct {
 // a bounded queue drained by a dedicated worker. Close stops the
 // workers.
 func New(cfg Config) *Coordinator {
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	n := cfg.shards()
 	c := &Coordinator{
 		cfg:        cfg,
@@ -185,11 +169,9 @@ func New(cfg Config) *Coordinator {
 		stopc:      make(chan struct{}),
 	}
 	for i := 0; i < n; i++ {
-		scfg := cfg.Stream
-		scfg.Registry = nil // private per-engine registry; see Config.Stream
 		sh := &shard{
 			idx:     i,
-			eng:     stream.NewEngine(scfg),
+			eng:     stream.NewEngine(cfg.Stream),
 			q:       make(chan task, cfg.queueDepth()),
 			stopc:   c.stopc,
 			gDepth:  reg.Gauge(fmt.Sprintf("psmd_shard%d_queue_depth", i)),

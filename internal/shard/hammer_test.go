@@ -235,18 +235,11 @@ func encodeRepeatedLines(c parityCase, idx, repeats int) ([]byte, int) {
 func TestBackpressureShedsWithSaturatedError(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := genParityCase(rng)
-	mcfg, merge, cal := flowPolicies()
 	co := shard.New(shard.Config{
 		Shards:         1,
 		QueueDepth:     1,
 		EnqueueTimeout: time.Millisecond,
-		Stream: stream.Config{
-			Workers:     1,
-			Mining:      mcfg,
-			Merge:       merge,
-			Calibration: cal,
-			Inputs:      c.inputs,
-		},
+		Stream:         stream.Config{Config: flowConfig(1), Inputs: c.inputs},
 	})
 	defer co.Close()
 	ctx := context.Background()

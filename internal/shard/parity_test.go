@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"psmkit/internal/logic"
-	"psmkit/internal/mining"
 	"psmkit/internal/obs"
 	"psmkit/internal/pipeline"
 	"psmkit/internal/psm"
@@ -83,22 +82,24 @@ func genParityCase(rng *rand.Rand) parityCase {
 	return c
 }
 
-func flowPolicies() (mining.Config, psm.MergePolicy, psm.CalibrationPolicy) {
-	return mining.DefaultConfig(), psm.DefaultMergePolicy(), psm.DefaultCalibrationPolicy()
+// flowConfig is the paper flow's default policies at the given worker
+// count.
+func flowConfig(workers int) pipeline.Config {
+	cfg := pipeline.DefaultConfig()
+	cfg.Workers = workers
+	return cfg
 }
 
 // batchModel is the ground truth: pipeline.BuildModel over the given
 // traces in the given order.
 func batchModel(c parityCase, traces []int) (*psm.Model, error) {
-	mcfg, merge, cal := flowPolicies()
 	var fts []*trace.Functional
 	var pws []*trace.Power
 	for _, i := range traces {
 		fts = append(fts, c.fts[i])
 		pws = append(pws, c.pws[i])
 	}
-	cfg := pipeline.Config{Workers: 2, Mining: mcfg, Merge: merge, Calibration: cal}
-	return pipeline.BuildModel(context.Background(), fts, pws, c.cols, cfg)
+	return pipeline.BuildModel(context.Background(), fts, pws, c.cols, flowConfig(2))
 }
 
 // appendRecord frames one record as an NDJSON line and hands it to the
@@ -129,16 +130,9 @@ func exports(t testing.TB, m *psm.Model) (string, string) {
 }
 
 func newCoordinator(c parityCase, shards, workers int) *shard.Coordinator {
-	mcfg, merge, cal := flowPolicies()
 	return shard.New(shard.Config{
 		Shards: shards,
-		Stream: stream.Config{
-			Workers:     workers,
-			Mining:      mcfg,
-			Merge:       merge,
-			Calibration: cal,
-			Inputs:      c.inputs,
-		},
+		Stream: stream.Config{Config: flowConfig(workers), Inputs: c.inputs},
 	})
 }
 
@@ -424,10 +418,7 @@ func TestCrossShardLinesPathMatchesRows(t *testing.T) {
 // once.
 func engineSnapshot(t testing.TB, c parityCase, order []int) *psm.Model {
 	t.Helper()
-	mcfg, merge, cal := flowPolicies()
-	eng := stream.NewEngine(stream.Config{
-		Workers: 2, Mining: mcfg, Merge: merge, Calibration: cal, Inputs: c.inputs,
-	})
+	eng := stream.NewEngine(stream.Config{Config: flowConfig(2), Inputs: c.inputs})
 	for _, i := range order {
 		ft, n := c.fts[i], c.fts[i].Len()
 		s, err := eng.Open(ft.Signals)

@@ -22,7 +22,6 @@ import (
 // stimulus, and the PSM tracker estimating its power.
 type Component struct {
 	Name    string
-	core    hdl.Core
 	sim     *hdl.Simulator
 	gen     testbench.Generator
 	tracker *powersim.Simulator
@@ -40,7 +39,6 @@ type Component struct {
 func NewComponent(name string, core hdl.Core, gen testbench.Generator, model *psm.Model, inputCols []int) *Component {
 	c := &Component{
 		Name:    name,
-		core:    core,
 		sim:     hdl.NewSimulator(core),
 		gen:     gen,
 		tracker: powersim.New(model, inputCols, powersim.DefaultConfig()),
@@ -59,12 +57,6 @@ func NewComponent(name string, core hdl.Core, gen testbench.Generator, model *ps
 	})
 	return c
 }
-
-// Power returns the component's last per-cycle power estimate in watts.
-func (c *Component) Power() float64 { return c.lastW }
-
-// EnergyJ returns the component's accumulated energy in joules.
-func (c *Component) EnergyJ() float64 { return c.energyJ }
 
 // Tracker exposes the component's PSM tracker (for WSP inspection).
 func (c *Component) Tracker() *powersim.Simulator { return c.tracker }
@@ -92,9 +84,6 @@ func (s *System) Add(c *Component) { s.components = append(s.components, c) }
 
 // Components returns the registered components.
 func (s *System) Components() []*Component { return s.components }
-
-// Cycle returns the number of cycles simulated.
-func (s *System) Cycle() int { return s.cycle }
 
 // Step advances every component one clock cycle and returns the chip's
 // total estimated power for the cycle.

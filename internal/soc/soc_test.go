@@ -44,11 +44,11 @@ func TestSystemStepsAllComponents(t *testing.T) {
 	if err := sys.Run(2000); err != nil {
 		t.Fatal(err)
 	}
-	if sys.Cycle() != 2000 {
-		t.Errorf("cycles = %d", sys.Cycle())
+	if sys.cycle != 2000 {
+		t.Errorf("cycles = %d", sys.cycle)
 	}
 	for _, c := range sys.Components() {
-		if c.EnergyJ() <= 0 {
+		if c.energyJ <= 0 {
 			t.Errorf("%s accumulated no energy", c.Name)
 		}
 	}
@@ -63,7 +63,7 @@ func TestTotalIsSumOfComponents(t *testing.T) {
 		}
 		var sum float64
 		for _, c := range sys.Components() {
-			sum += c.Power()
+			sum += c.lastW
 		}
 		if math.Abs(total-sum) > 1e-18 {
 			t.Fatalf("cycle %d: total %g != Σ %g", i, total, sum)

@@ -308,18 +308,6 @@ func sign(x float64) int {
 
 // --- correlation and regression ---------------------------------------------
 
-// Pearson returns the Pearson correlation coefficient of the paired samples
-// xs and ys. It returns 0 when either sample is constant, the slices are
-// shorter than 2 or a sample is not finite. The slices must have equal
-// length. It is Regression.Pearson over the pairs.
-func Pearson(xs, ys []float64) float64 {
-	if len(xs) != len(ys) {
-		panic("stats: Pearson sample length mismatch")
-	}
-	r := regressionOf(xs, ys)
-	return r.Pearson()
-}
-
 // LinearFit holds a least-squares line y = Intercept + Slope*x together
 // with its Pearson correlation on the fitted data.
 type LinearFit struct {

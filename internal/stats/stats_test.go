@@ -277,31 +277,38 @@ func TestOneSampleTTestDegenerate(t *testing.T) {
 	}
 }
 
+// pearsonOf is the correlation of paired samples through the
+// regression accumulator LinearRegression fits with.
+func pearsonOf(xs, ys []float64) float64 {
+	r := regressionOf(xs, ys)
+	return r.Pearson()
+}
+
 func TestPearson(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := []float64{2, 4, 6, 8, 10}
-	if r := Pearson(xs, ys); !almostEq(r, 1, 1e-12) {
+	if r := pearsonOf(xs, ys); !almostEq(r, 1, 1e-12) {
 		t.Errorf("perfect positive: r = %g", r)
 	}
 	neg := []float64{10, 8, 6, 4, 2}
-	if r := Pearson(xs, neg); !almostEq(r, -1, 1e-12) {
+	if r := pearsonOf(xs, neg); !almostEq(r, -1, 1e-12) {
 		t.Errorf("perfect negative: r = %g", r)
 	}
-	if r := Pearson(xs, []float64{3, 3, 3, 3, 3}); r != 0 {
+	if r := pearsonOf(xs, []float64{3, 3, 3, 3, 3}); r != 0 {
 		t.Errorf("constant y: r = %g", r)
 	}
-	if r := Pearson([]float64{1}, []float64{2}); r != 0 {
+	if r := pearsonOf([]float64{1}, []float64{2}); r != 0 {
 		t.Errorf("short sample: r = %g", r)
 	}
 }
 
-func TestPearsonMismatchPanics(t *testing.T) {
+func TestLinearRegressionMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("mismatched lengths did not panic")
 		}
 	}()
-	Pearson([]float64{1, 2}, []float64{1})
+	_, _ = LinearRegression([]float64{1, 2}, []float64{1})
 }
 
 func TestLinearRegressionExact(t *testing.T) {
@@ -377,7 +384,7 @@ func TestQuickPearsonBounds(t *testing.T) {
 			xs[i] = rng.NormFloat64()
 			ys[i] = rng.NormFloat64()
 		}
-		r := Pearson(xs, ys)
+		r := pearsonOf(xs, ys)
 		return r >= -1 && r <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -22,10 +22,9 @@ import (
 // snapshot cost, which a one-shard coordinator must match.
 
 func newTestCoordinator(c parityCase, shards int) *shard.Coordinator {
-	mcfg, merge, cal := flowPolicies()
 	return shard.New(shard.Config{
 		Shards: shards,
-		Stream: stream.Config{Workers: 2, Mining: mcfg, Merge: merge, Calibration: cal, Inputs: c.inputs},
+		Stream: stream.Config{Config: flowConfig(2), Inputs: c.inputs},
 	})
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -24,18 +23,12 @@ var (
 	ErrNoTraces   = errors.New("no completed traces")
 )
 
-// Config tunes the streaming engine. The flow policies are the batch
-// pipeline's; equality with pipeline.BuildModel holds per policy set.
+// Config tunes the streaming engine. The embedded flow config is the
+// batch pipeline's — equality with pipeline.BuildModel holds per policy
+// set — and its Workers bounds the goroutines a snapshot's chain rebuild
+// fans out over.
 type Config struct {
-	// Workers bounds the goroutines a snapshot's chain rebuild fans out
-	// over (pipeline.ForEach); ≤ 0 selects GOMAXPROCS.
-	Workers int
-	// Mining, Merge and Calibration are the paper-flow tunables.
-	Mining      mining.Config
-	Merge       psm.MergePolicy
-	Calibration psm.CalibrationPolicy
-	// SkipCalibration disables the Hamming-distance regression.
-	SkipCalibration bool
+	pipeline.Config
 	// Inputs names the primary-input signals (calibration regressor and
 	// the estimate endpoint). Unknown names fail the first session open.
 	Inputs []string
@@ -44,30 +37,16 @@ type Config struct {
 	MaxRecords int
 	// MaxOpenSessions caps concurrently open sessions (0 = unlimited).
 	MaxOpenSessions int
-	// Registry receives the engine's metrics; nil gives the engine a
-	// private registry (Engine.Registry exposes it either way). Sharing
-	// one registry across engines in a process is the caller's choice —
-	// the counters are named per concern, not per engine.
-	Registry *obs.Registry
 }
 
 // DefaultConfig returns the paper-reproduction policies with serving-
 // grade ingestion bounds.
 func DefaultConfig() Config {
 	return Config{
-		Mining:          mining.DefaultConfig(),
-		Merge:           psm.DefaultMergePolicy(),
-		Calibration:     psm.DefaultCalibrationPolicy(),
+		Config:          pipeline.DefaultConfig(),
 		MaxRecords:      1 << 22,
 		MaxOpenSessions: 256,
 	}
-}
-
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // sigRun is one maximal run of identical candidate-atom signatures: the
@@ -203,7 +182,6 @@ type Engine struct {
 	gPooled    *obs.Gauge
 	gServed    *obs.Gauge
 	hJoin      *obs.Histogram
-	hJoinWin   *obs.WindowedHistogram
 
 	mu        sync.Mutex
 	schema    []trace.Signal
@@ -224,10 +202,7 @@ type Engine struct {
 // header fixes it, exactly like the first trace of a batch run fixes the
 // miner's schema.
 func NewEngine(cfg Config) *Engine {
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	return &Engine{
 		cfg:        cfg,
 		reg:        reg,
@@ -242,18 +217,12 @@ func NewEngine(cfg Config) *Engine {
 		gPooled:    reg.Gauge("psmd_states_pooled"),
 		gServed:    reg.Gauge("psmd_states_served"),
 		hJoin:      reg.Histogram("psmd_join_latency_ms", LatencyBuckets),
-		hJoinWin:   reg.Window("psmd_join_latency_ms_window", LatencyBuckets, obs.DefaultWindowInterval, obs.DefaultWindowSlots),
 	}
 }
 
 // Registry exposes the engine's metrics registry (for export surfaces
 // like psmd's /metrics).
 func (e *Engine) Registry() *obs.Registry { return e.reg }
-
-// JoinLatencyWindow returns the join-latency distribution over the most
-// recent sliding window — the live counterpart of the cumulative
-// psmd_join_latency_ms histogram, feeding /v1/status quantiles.
-func (e *Engine) JoinLatencyWindow() obs.HistogramSnapshot { return e.hJoinWin.Snapshot() }
 
 // Session is one open trace being streamed in. It is single-producer:
 // AppendBatch/Close/Abort must not be called concurrently on the same session,
@@ -301,13 +270,6 @@ func (e *Engine) Open(sigs []trace.Signal) (*Session, error) {
 		data:   &sessionData{},
 		schema: e.schema,
 	}, nil
-}
-
-// Schema returns the engine's signal schema (nil before the first Open).
-func (e *Engine) Schema() []trace.Signal {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.schema
 }
 
 // InputCols returns the primary-input column indices (for the estimator).
@@ -465,7 +427,6 @@ func (e *Engine) Snapshot(ctx context.Context) (*psm.Model, error) {
 		e.mJoinNanos.Add(el.Nanoseconds())
 		ms := float64(el.Nanoseconds()) / 1e6
 		e.hJoin.Observe(ms)
-		e.hJoinWin.Observe(ms)
 	}()
 	if obs.RegistryFrom(ctx) == nil {
 		// Bill the join's merge counters (checks, evals, cases) to the
@@ -574,7 +535,7 @@ func (e *Engine) ensureEpoch(ctx context.Context, idx []int, n int) (rebuilt boo
 	// Parallel phase: per-session chain generation, Simplify and
 	// calibration sums over the pipeline pool.
 	newChains := make([]*psm.Chain, len(fresh))
-	err = pipeline.ForEach(ctx, e.cfg.workers(), len(newChains), func(wctx context.Context, k int) error {
+	err = pipeline.ForEach(ctx, e.cfg.Parallelism(), len(newChains), func(wctx context.Context, k int) error {
 		newChains[k] = chainOfSession(wctx, e.dict, propIDs[k], first+k, fresh[k], e.cfg.Merge)
 		return nil
 	})

@@ -8,6 +8,7 @@ import (
 
 	"psmkit/internal/logic"
 	"psmkit/internal/mining"
+	"psmkit/internal/pipeline"
 	"psmkit/internal/trace"
 )
 
@@ -115,7 +116,7 @@ func TestEngineEmptySessionAndSnapshotErrors(t *testing.T) {
 // them back — and a later good session still snapshots.
 func TestEngineTooShortTrace(t *testing.T) {
 	ctx := context.Background()
-	e := NewEngine(Config{SkipCalibration: true})
+	e := NewEngine(Config{Config: pipeline.Config{SkipCalibration: true}})
 	upload := func(bits []uint64, op uint64) (int, error) {
 		t.Helper()
 		s, err := e.Open(testSchema())
@@ -161,7 +162,7 @@ func TestEngineTooShortTrace(t *testing.T) {
 }
 
 func TestEngineMetricsHistogram(t *testing.T) {
-	e := NewEngine(Config{SkipCalibration: true})
+	e := NewEngine(Config{Config: pipeline.Config{SkipCalibration: true}})
 	s, err := e.Open(testSchema())
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +210,7 @@ func TestEngineMetricsHistogram(t *testing.T) {
 // append growth leaves — here a 300-record session fed in 256-record
 // batches, whose series would otherwise keep 512 slots.
 func TestClosedSessionHeldAtExactSize(t *testing.T) {
-	e := NewEngine(Config{Inputs: []string{"op"}, SkipCalibration: true})
+	e := NewEngine(Config{Config: pipeline.Config{SkipCalibration: true}, Inputs: []string{"op"}})
 	s, err := e.Open(testSchema())
 	if err != nil {
 		t.Fatal(err)

@@ -178,7 +178,7 @@ func (e *Engine) Provenance(ctx context.Context) ([]obs.MergeDecision, error) {
 	}
 	log := obs.NewProvenanceLog()
 	ctx = obs.WithProvenance(ctx, log)
-	chains, err := e.ProvenanceChains(ctx, idx, mining.NewDictionary(e.Schema(), kept), 0, completed)
+	chains, err := e.ProvenanceChains(ctx, idx, mining.NewDictionary(e.schema, kept), 0, completed)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"psmkit/internal/logic"
-	"psmkit/internal/mining"
 	"psmkit/internal/obs"
 	"psmkit/internal/pipeline"
 	"psmkit/internal/psm"
@@ -76,20 +75,22 @@ func genParityCase(rng *rand.Rand) parityCase {
 	return c
 }
 
-func flowPolicies() (mining.Config, psm.MergePolicy, psm.CalibrationPolicy) {
-	return mining.DefaultConfig(), psm.DefaultMergePolicy(), psm.DefaultCalibrationPolicy()
+// flowConfig is the paper flow's default policies at the given worker
+// count.
+func flowConfig(workers int) pipeline.Config {
+	cfg := pipeline.DefaultConfig()
+	cfg.Workers = workers
+	return cfg
 }
 
 func batchModel(c parityCase, traces []int) (*psm.Model, error) {
-	mcfg, merge, cal := flowPolicies()
 	var fts []*trace.Functional
 	var pws []*trace.Power
 	for _, i := range traces {
 		fts = append(fts, c.fts[i])
 		pws = append(pws, c.pws[i])
 	}
-	cfg := pipeline.Config{Workers: 2, Mining: mcfg, Merge: merge, Calibration: cal}
-	return pipeline.BuildModel(context.Background(), fts, pws, c.cols, cfg)
+	return pipeline.BuildModel(context.Background(), fts, pws, c.cols, flowConfig(2))
 }
 
 func exports(t *testing.T, m *psm.Model) (string, string) {
@@ -107,14 +108,7 @@ func exports(t *testing.T, m *psm.Model) (string, string) {
 func newTestEngine(c parityCase) *stream.Engine { return newTestEngineWorkers(c, 2) }
 
 func newTestEngineWorkers(c parityCase, workers int) *stream.Engine {
-	mcfg, merge, cal := flowPolicies()
-	return stream.NewEngine(stream.Config{
-		Workers:     workers,
-		Mining:      mcfg,
-		Merge:       merge,
-		Calibration: cal,
-		Inputs:      c.inputs,
-	})
+	return stream.NewEngine(stream.Config{Config: flowConfig(workers), Inputs: c.inputs})
 }
 
 // interleave streams every trace of the case into the engine with the
@@ -401,11 +395,9 @@ func TestSnapshotCancellation(t *testing.T) {
 func ExampleEngine() {
 	// Two one-signal traces streamed concurrently, record by record.
 	sigs := []trace.Signal{{Name: "en", Width: 1}}
-	e := stream.NewEngine(stream.Config{
-		Mining:          mining.DefaultConfig(),
-		Merge:           psm.DefaultMergePolicy(),
-		SkipCalibration: true,
-	})
+	cfg := stream.DefaultConfig()
+	cfg.SkipCalibration = true
+	e := stream.NewEngine(cfg)
 	a, _ := e.Open(sigs)
 	b, _ := e.Open(sigs)
 	bits := [][]uint64{{0, 0, 1, 1, 0, 0, 1}, {1, 1, 0, 0, 1, 1, 0}}

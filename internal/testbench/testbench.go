@@ -184,7 +184,6 @@ type cipherScript struct {
 	key logic.Vector
 	z1  logic.Vector
 	o1  logic.Vector
-	z2  logic.Vector
 	z12 logic.Vector
 }
 
@@ -196,7 +195,6 @@ func newCipherScript(opts Options, busyCycles, holdW int) *cipherScript {
 		stalls:     opts.Stalls,
 		z1:         logic.New(1),
 		o1:         logic.FromUint64(1, 1),
-		z2:         logic.New(2),
 		z12:        logic.New(128),
 		key:        logic.New(128),
 	}

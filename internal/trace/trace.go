@@ -82,11 +82,6 @@ func (f *Functional) SameSchema(o *Functional) bool {
 	return true
 }
 
-// Slice returns a view of instants [from, to).
-func (f *Functional) Slice(from, to int) *Functional {
-	return &Functional{Signals: f.Signals, rows: f.rows[from:to]}
-}
-
 // InputHammingDistance returns, for each instant t > 0, the total Hamming
 // distance between the valuations of the listed columns at t and t-1 —
 // the regressor of the paper's data-dependent state calibration. Instant 0

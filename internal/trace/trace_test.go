@@ -61,17 +61,6 @@ func TestSameSchema(t *testing.T) {
 	}
 }
 
-func TestSlice(t *testing.T) {
-	f := NewFunctional(sig2())
-	for i := 0; i < 10; i++ {
-		f.Append([]logic.Vector{logic.FromUint64(8, uint64(i)), logic.FromUint64(16, 0)})
-	}
-	s := f.Slice(3, 7)
-	if s.Len() != 4 || s.Value(0, 0).Uint64() != 3 {
-		t.Errorf("Slice wrong: len=%d first=%d", s.Len(), s.Value(0, 0).Uint64())
-	}
-}
-
 func TestInputHammingDistance(t *testing.T) {
 	f := NewFunctional(sig2())
 	f.Append([]logic.Vector{logic.FromUint64(8, 0x00), logic.FromUint64(16, 0x0000)})

@@ -48,8 +48,7 @@ func TestObsOverheadGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := experiment.DefaultPolicies()
-	cfg := pipeline.Config{Mining: pol.Mining, Merge: pol.Merge, Calibration: pol.Calibration}
+	cfg := pipeline.DefaultConfig()
 
 	build := func(ctx context.Context) time.Duration {
 		// Collect outside the timed region: each build leaves megabytes
