@@ -114,6 +114,7 @@ fuzz:
 	$(GO) test ./internal/check -run '^$$' -fuzz FuzzModelJSON -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stream -run '^$$' -fuzz FuzzWireScan -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzRegressionMerge -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzCriticalT -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/psm -run '^$$' -fuzz FuzzJoinMatchesOracle -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mining -run '^$$' -fuzz FuzzMineMatchesOracle -fuzztime $(FUZZTIME)
 

@@ -89,27 +89,6 @@ func (h *HMM) Observation(key string) int {
 	return -1
 }
 
-// Clone deep-copies the model so the resynchronization procedure can
-// mask transitions without disturbing the trained matrices.
-func (h *HMM) Clone() *HMM {
-	c := &HMM{
-		A:          make([][]float64, len(h.A)),
-		B:          make([][]float64, len(h.B)),
-		Pi:         append([]float64(nil), h.Pi...),
-		Assertions: make(map[string]int, len(h.Assertions)),
-	}
-	for i := range h.A {
-		c.A[i] = append([]float64(nil), h.A[i]...)
-	}
-	for i := range h.B {
-		c.B[i] = append([]float64(nil), h.B[i]...)
-	}
-	for k, v := range h.Assertions {
-		c.Assertions[k] = v
-	}
-	return c
-}
-
 // ZeroTransition implements the resynchronization masking of Section V:
 // after a wrong prediction the probability of reaching the wrong state
 // again is fixed to 0 (the row is re-normalized; a row that loses all

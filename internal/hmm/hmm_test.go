@@ -453,3 +453,24 @@ func TestBaumWelchIgnoresImpossibleSequences(t *testing.T) {
 		}
 	}
 }
+
+// Clone deep-copies the model, so a test can mask or retrain one copy
+// and compare it with the trained original.
+func (h *HMM) Clone() *HMM {
+	c := &HMM{
+		A:          make([][]float64, len(h.A)),
+		B:          make([][]float64, len(h.B)),
+		Pi:         append([]float64(nil), h.Pi...),
+		Assertions: make(map[string]int, len(h.Assertions)),
+	}
+	for i := range h.A {
+		c.A[i] = append([]float64(nil), h.A[i]...)
+	}
+	for i := range h.B {
+		c.B[i] = append([]float64(nil), h.B[i]...)
+	}
+	for k, v := range h.Assertions {
+		c.Assertions[k] = v
+	}
+	return c
+}

@@ -50,8 +50,8 @@ type MergeDecision struct {
 // The join side of that order is the one sequential collapse psm runs,
 // logged or not: phase 1's decisions in its scan order, then the
 // worklist fixpoint's — each rejected probe when it is made and each
-// collapse, as one accepting decision, when it is performed. Memoized
-// verdicts still record (a memo hit replays the cached outcome), and a
+// collapse, as one accepting decision, when it is performed. A verdict
+// simplify replays rather than decides again still records, and a
 // speculative accept that never collapses is not a decision.
 type ProvenanceLog struct {
 	mu sync.Mutex

@@ -82,8 +82,7 @@ type cursor struct {
 type Simulator struct {
 	model     *psm.Model
 	dict      *mining.Dictionary
-	h         *hmm.HMM // trained matrices (scoring)
-	mask      *hmm.HMM // run-local copy with resync masking
+	mask      *hmm.HMM // the tracker's own HMM: resync masks its transitions
 	inputCols []int
 	cfg       Config
 
@@ -141,8 +140,7 @@ func New(model *psm.Model, inputCols []int, cfg Config) *Simulator {
 	return &Simulator{
 		model:     model,
 		dict:      model.Dict,
-		h:         h,
-		mask:      h.Clone(),
+		mask:      h,
 		inputCols: inputCols,
 		cfg:       cfg,
 		altObs:    altObs,

@@ -161,10 +161,9 @@ func TestJoinerSnapshotDoesNotMutateFold(t *testing.T) {
 }
 
 // TestJoinerResetReuseAcrossEpochs is the reuse-across-epochs
-// regression test: Reset must void the fold, the verdict memo and its
-// eval accounting atomically, leaving the joiner indistinguishable
-// from a fresh NewJoiner — the second epoch's model and its memo
-// counters must both equal a fresh joiner's over the same chains.
+// regression test: Reset must void the fold, leaving the joiner
+// indistinguishable from a fresh NewJoiner — the second epoch's model
+// must equal a fresh joiner's over the same chains.
 func TestJoinerResetReuseAcrossEpochs(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(9))
@@ -176,23 +175,14 @@ func TestJoinerResetReuseAcrossEpochs(t *testing.T) {
 		j.Add(ctx, c)
 	}
 	j.Snapshot(ctx)
-	if j.memo.Evals() == 0 || len(j.memo.m) == 0 {
-		t.Fatalf("memo unused by the fold: %d evals, %d entries", j.memo.Evals(), len(j.memo.m))
-	}
 
 	j.Reset()
 	if j.Pooled() != 0 {
 		t.Fatalf("reset left %d pooled states", j.Pooled())
 	}
-	if n := len(j.memo.m); n != 0 {
-		t.Fatalf("reset kept %d memoized verdicts, want 0", n)
-	}
-	if e := j.memo.Evals(); e != 0 {
-		t.Fatalf("reset kept memo accounting: %d evals, want 0", e)
-	}
 
-	// Epoch 2 on the reused joiner vs a fresh one: identical model,
-	// identical memo accounting — nothing of epoch 1 may leak through.
+	// Epoch 2 on the reused joiner vs a fresh one: identical model —
+	// nothing of epoch 1 may leak through.
 	fresh := NewJoiner(DefaultMergePolicy())
 	for _, c := range epoch2 {
 		j.Add(ctx, c)
@@ -204,89 +194,5 @@ func TestJoinerResetReuseAcrossEpochs(t *testing.T) {
 	}
 	if pooled := joinOracle(ctx, epoch2, DefaultMergePolicy()); !reflect.DeepEqual(pooled, got) {
 		t.Fatal("post-reset re-fold diverges from the pooled oracle")
-	}
-	if j.memo.Evals() != fresh.memo.Evals() || len(j.memo.m) != len(fresh.memo.m) {
-		t.Fatalf("reused joiner's memo accounting differs from fresh: %d/%d vs %d/%d",
-			j.memo.Evals(), len(j.memo.m), fresh.memo.Evals(), len(fresh.memo.m))
-	}
-}
-
-// TestJoinerMemoShared: a joiner built on a caller-owned memo keeps the
-// verdicts already in it, so a second joiner folding the same chains
-// evaluates nothing new — the cross-shard snapshot's fresh-Joiner-per-
-// call pattern — and still produces the same model.
-func TestJoinerMemoShared(t *testing.T) {
-	ctx := context.Background()
-	chains := randChains(rand.New(rand.NewSource(11)))
-	memo := NewEvalMemo(DefaultMergePolicy())
-	fold := func() *Model {
-		j := NewJoinerMemo(memo)
-		for _, c := range chains {
-			j.Add(ctx, c)
-		}
-		return j.Snapshot(ctx)
-	}
-	first := fold()
-	evals := memo.Evals()
-	if evals == 0 {
-		t.Fatal("the first fold evaluated nothing")
-	}
-	second := fold()
-	// Every verdict the first fold computed is served from the memo now;
-	// a memo reset would recompute them instead.
-	if memo.Evals() != evals {
-		t.Fatalf("second fold: %d evals, want %d", memo.Evals(), evals)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatal("a shared memo changed the model")
-	}
-}
-
-// TestEvalMemo pins the memo's accounting: first sight computes, repeat
-// sight is served from the cache, and the ordered key distinguishes
-// (a,b) from (b,a).
-func TestEvalMemo(t *testing.T) {
-	mo := NewEvalMemo(DefaultMergePolicy())
-	a := stats.MomentsOf([]float64{1, 1.01, 0.99})
-	b := stats.MomentsOf([]float64{2, 2.02})
-	out := mo.Evaluate(a, b)
-	if mo.Evals() != 1 || len(mo.m) != 1 {
-		t.Fatalf("first evaluate: %d evals %d entries, want 1/1", mo.Evals(), len(mo.m))
-	}
-	if again := mo.Evaluate(a, b); again != out {
-		t.Fatalf("memoized verdict differs: %+v vs %+v", again, out)
-	}
-	if mo.Evals() != 1 {
-		t.Fatalf("repeat evaluate: %d evals, want 1", mo.Evals())
-	}
-	if mo.Evaluate(b, a) != DefaultMergePolicy().Evaluate(b, a) {
-		t.Fatal("swapped operand order must be keyed separately")
-	}
-	if mo.Evals() != 2 {
-		t.Fatalf("swapped order was served from cache: %d evals, want 2", mo.Evals())
-	}
-	if got := mo.Policy(); got != DefaultMergePolicy() {
-		t.Fatalf("memo policy %+v, want the default", got)
-	}
-}
-
-// TestEvalMemoLimit: at the entry bound the memo resets wholesale and
-// keeps serving exact verdicts.
-func TestEvalMemoLimit(t *testing.T) {
-	mo := NewEvalMemo(DefaultMergePolicy())
-	mo.limit = 4
-	ref := stats.MomentsOf([]float64{1, 1})
-	for i := 0; i < 10; i++ {
-		mo.Evaluate(ref, stats.MomentsOf([]float64{float64(i + 2), float64(i + 2)}))
-	}
-	if len(mo.m) > 4 {
-		t.Fatalf("memo holds %d entries beyond the limit 4", len(mo.m))
-	}
-	if mo.Evals() != 10 {
-		t.Fatalf("%d evals for 10 distinct pairs, want 10", mo.Evals())
-	}
-	out := mo.Evaluate(ref, ref)
-	if !out.Accept {
-		t.Fatal("identical moments must merge after a reset")
 	}
 }

@@ -21,7 +21,7 @@ func joinFixpointScan(mg *merger, m *Model, alias map[int]int) {
 		found := false
 		for i := 0; i < len(m.States) && !found; i++ {
 			for j := i + 1; j < len(m.States) && !found; j++ {
-				if mg.mergeable(m.States[i], m.States[j]) {
+				if mg.judge(m.States[i], m.States[j]).Accept {
 					collapse(m, alias, i, j)
 					found = true
 				}
@@ -33,12 +33,12 @@ func joinFixpointScan(mg *merger, m *Model, alias map[int]int) {
 	}
 }
 
-// joinPooledScan is the pooled oracle (joinPooled) with the unmemoized
-// restart scan in place of the worklist — the join exactly as shipped
+// joinPooledScan is the pooled oracle (joinPooled) with the restart
+// scan in place of the worklist — the join exactly as shipped
 // before the worklist engine landed. A provenance log on ctx records
 // every probe of the scan, re-probes after each collapse included.
 func joinPooledScan(ctx context.Context, m *Model, policy MergePolicy) *Model {
-	mg := newMerger(ctx, policy, phaseJoin, -1, nil)
+	mg := newMerger(ctx, policy, phaseJoin, -1)
 	alias := map[int]int{}
 	joinPhase1(&mg, m, alias)
 	joinFixpointScan(&mg, m, alias)
@@ -104,9 +104,9 @@ func scanArm(ctx context.Context, chains []*Chain, policy MergePolicy) *Model {
 }
 
 // joinArm runs one join engine over the chains with its own metrics
-// registry, returning the wall time, the number of
-// MergePolicy.Evaluate calls actually executed (memo misses only — the
-// psm_merge_evals_total counter) and the joined model.
+// registry, returning the wall time, the number of mergeability
+// decisions (the psm_merge_evals_total counter, which ticks once per
+// check) and the joined model.
 func joinArm(chains []*Chain, join func(context.Context, []*Chain, MergePolicy) *Model) (time.Duration, int64, *Model) {
 	reg := obs.NewRegistry()
 	ctx := obs.WithRegistry(context.Background(), reg)
@@ -216,7 +216,7 @@ func TestJoinProvenanceFollowsWorklist(t *testing.T) {
 
 	// Phase 1 alone, counted: its probe count and its survivors.
 	reg := obs.NewRegistry()
-	mg := newMerger(obs.WithRegistry(context.Background(), reg), policy, phaseJoin, -1, nil)
+	mg := newMerger(obs.WithRegistry(context.Background(), reg), policy, phaseJoin, -1)
 	p1 := CloneModel(pooled)
 	joinPhase1(&mg, p1, map[int]int{})
 	phase1Checks := reg.Snapshot().Counters["psm_merge_checks_total"]

@@ -33,16 +33,15 @@ import (
 // and Snapshot in the order the fold makes them: phase 1 per chain,
 // then the fixpoint's rejections and collapses (see merger.decide).
 //
+// Every check decides afresh: a Joiner holds no verdicts, so its memory
+// is the fold's and nothing else. Without a provenance log a t-test
+// decides from the policy's critical-|t| table (see MergePolicy).
+//
 // A Joiner is not goroutine-safe; the streaming engine owns one under
 // its lock.
 type Joiner struct {
 	policy MergePolicy
-	// memo caches mergeability verdicts across Add calls and snapshots
-	// within one epoch; Reset clears it together with the fold, so the
-	// memo's accounting (and its memory) always belongs to the current
-	// epoch. It is nil in JoinCtx's one-shot Joiner.
-	memo *EvalMemo
-	dict *mining.Dictionary
+	dict   *mining.Dictionary
 	// kept holds the phase-1 survivors in adoption order (the fixpoint's
 	// scan order). State IDs are pooled-global and stable until a
 	// snapshot reindexes its clone.
@@ -59,38 +58,17 @@ type Joiner struct {
 
 // NewJoiner returns an empty incremental join for one merge policy.
 func NewJoiner(policy MergePolicy) *Joiner {
-	return newJoiner(policy, NewEvalMemo(policy))
-}
-
-// NewJoinerMemo returns an empty incremental join that reads and fills
-// a caller-owned verdict memo under the memo's merge policy, keeping
-// the verdicts it already holds. Verdicts are pure in the moments pair,
-// so a memo shared by successive joiners — the cross-shard snapshot
-// takes a fresh Joiner per call — changes only the evaluation count,
-// never the model. Reset clears the memo too.
-func NewJoinerMemo(memo *EvalMemo) *Joiner {
-	return newJoiner(memo.Policy(), memo)
-}
-
-// newJoiner returns an empty incremental join deciding through memo
-// (nil: every check evaluates the policy).
-func newJoiner(policy MergePolicy, memo *EvalMemo) *Joiner {
 	return &Joiner{
 		policy:   policy,
-		memo:     memo,
 		transIdx: make(map[transKey]int),
 		initials: make(map[int]int),
 	}
 }
 
-// Reset discards the accumulated fold AND the verdict memo in one step
-// (epoch change: every proposition id and chain is void). Memoized
-// verdicts are pure in the power moments and would stay correct across
-// re-mining, but retaining them made a reset only partial: the memo's
-// eval/hit counters kept spanning epochs and its map pinned the old
-// epoch's memory. A Joiner that has been Reset is indistinguishable
-// from a fresh NewJoiner of the same policy — pinned by
-// TestJoinerResetReuseAcrossEpochs.
+// Reset discards the accumulated fold (epoch change: every proposition
+// id and chain is void). A Joiner that has been Reset is
+// indistinguishable from a fresh NewJoiner of the same policy — pinned
+// by TestJoinerResetReuseAcrossEpochs.
 func (j *Joiner) Reset() {
 	j.dict = nil
 	j.kept = nil
@@ -98,9 +76,6 @@ func (j *Joiner) Reset() {
 	j.transIdx = make(map[transKey]int)
 	j.initials = make(map[int]int)
 	j.pooled = 0
-	if j.memo != nil {
-		j.memo.Reset()
-	}
 }
 
 // Pooled returns the total number of states folded in so far — the
@@ -113,7 +88,7 @@ func (j *Joiner) Pooled() int { return j.pooled }
 // modified. The context's merge counters tick and its provenance log
 // records here.
 func (j *Joiner) Add(ctx context.Context, c *Chain) {
-	mg := newMerger(ctx, j.policy, phaseJoin, -1, j.memo)
+	mg := newMerger(ctx, j.policy, phaseJoin, -1)
 
 	if j.dict == nil {
 		j.dict = c.Dict
@@ -134,7 +109,7 @@ func (j *Joiner) Add(ctx context.Context, c *Chain) {
 		j.pooled++
 		merged := false
 		for _, k := range j.kept {
-			if mg.mergeable(k, ns) {
+			if mg.judge(k, ns).Accept {
 				mergeStates(alias, j.initials, k, ns)
 				merged = true
 				break
@@ -200,7 +175,7 @@ func sharedClone(s *State) *State {
 // snapshot's collapses need chasing.
 func (j *Joiner) Snapshot(ctx context.Context) *Model {
 	_, span := obs.Start(ctx, "collapse", obs.KV("states_in", len(j.kept)))
-	mg := newMerger(ctx, j.policy, phaseJoin, -1, j.memo)
+	mg := newMerger(ctx, j.policy, phaseJoin, -1)
 
 	m := &Model{
 		Dict:        j.dict,

@@ -89,16 +89,25 @@ type MergeOutcome struct {
 }
 
 // Mergeable implements the three cases of Section IV-A on two power-
-// attribute summaries.
+// attribute summaries. It is Evaluate(a, b).Accept, with the t-tests
+// settled from the policy's critical-|t| table.
 func (p MergePolicy) Mergeable(a, b stats.Moments) bool {
-	return p.Evaluate(a, b).Accept
+	return p.evaluate(a, b, stats.CriticalTable(p.Alpha)).Accept
 }
 
 // Evaluate is Mergeable with its reasoning attached: the same decision
 // procedure, returning the case, the deciding test and the statistic
-// instead of a bare boolean. Mergeable is Evaluate(...).Accept — there
-// is exactly one implementation of the decision.
+// instead of a bare boolean. A t-test's Stat is its exact p-value.
 func (p MergePolicy) Evaluate(a, b stats.Moments) MergeOutcome {
+	return p.evaluate(a, b, nil)
+}
+
+// evaluate is the one implementation of the decision. With crit nil,
+// every t-test computes its p-value. With crit non-nil — the table for
+// p.Alpha, passed when no provenance log reads the p-value — a t-test
+// decides from |t| whenever the table can tell; Stat is then left 0,
+// and every other field, Accept included, equals Evaluate's.
+func (p MergePolicy) evaluate(a, b stats.Moments, crit *stats.CriticalT) MergeOutcome {
 	if a.N == 0 || b.N == 0 {
 		return MergeOutcome{Test: TestEmpty}
 	}
@@ -133,11 +142,8 @@ func (p MergePolicy) Evaluate(a, b stats.Moments) MergeOutcome {
 		if d <= p.EquivalenceMargin {
 			return MergeOutcome{Case: 2, Test: TestEquivalence, Stat: d, Threshold: p.EquivalenceMargin, Accept: true}
 		}
-		res, err := stats.WelchTTest(a, b)
-		if err != nil {
-			return MergeOutcome{Case: 2, Test: TestWelch, Threshold: p.Alpha}
-		}
-		return MergeOutcome{Case: 2, Test: TestWelch, Stat: res.P, Threshold: p.Alpha, T: res.T, Accept: res.P >= p.Alpha}
+		t, df, err := stats.WelchT(a, b)
+		return p.tTest(2, TestWelch, t, df, err, crit)
 
 	default:
 		// Case 3: an until-state against a next-state (single sample).
@@ -151,12 +157,29 @@ func (p MergePolicy) Evaluate(a, b stats.Moments) MergeOutcome {
 		if d := relDiff(big.Mean(), x); d <= p.EquivalenceMargin {
 			return MergeOutcome{Case: 3, Test: TestEquivalence, Stat: d, Threshold: p.EquivalenceMargin, Accept: true}
 		}
-		res, err := stats.OneSampleTTest(big, x)
-		if err != nil {
-			return MergeOutcome{Case: 3, Test: TestOneSample, Threshold: p.Alpha}
-		}
-		return MergeOutcome{Case: 3, Test: TestOneSample, Stat: res.P, Threshold: p.Alpha, T: res.T, Accept: res.P >= p.Alpha}
+		t, df, err := stats.OneSampleT(big, x)
+		return p.tTest(3, TestOneSample, t, df, err, crit)
 	}
+}
+
+// tTest is the verdict of a case's t-test on its statistic t at df
+// degrees of freedom: accept iff P ≥ Alpha, read from crit when it can
+// tell, else from the computed P.
+func (p MergePolicy) tTest(cse int, test string, t, df float64, err error, crit *stats.CriticalT) MergeOutcome {
+	out := MergeOutcome{Case: cse, Test: test, Threshold: p.Alpha}
+	if err != nil {
+		return out
+	}
+	out.T = t
+	if crit != nil {
+		if accept, ok := crit.Decide(t, df); ok {
+			out.Accept = accept
+			return out
+		}
+	}
+	out.Stat = stats.TwoSidedTPValue(t, df)
+	out.Accept = out.Stat >= p.Alpha
+	return out
 }
 
 // momentsFinite reports whether the accumulator's sums are finite (its
@@ -195,36 +218,58 @@ func relDiff(a, b float64) float64 {
 // of the merged intervals. It returns a new chain; the input is not
 // modified.
 //
-// The pass memoizes its verdicts per chain: its restart passes re-examine
-// unchanged adjacent pairs, and a memoized verdict is exact (see
-// EvalMemo).
+// Each pass after the first re-examines the adjacent pairs of the last
+// pass's result. A pair whose right state no merge extended in the last
+// pass was judged, on the same moments, when it ended the left state's
+// run, and rejected; the pass replays that verdict instead of deciding
+// it again.
 func Simplify(c *Chain, policy MergePolicy) *Chain {
-	return simplifyWith(merger{policy: policy, phase: phaseSimplify, trace: c.Trace, memo: NewEvalMemo(policy)}, c)
+	return simplifyWith(newMerger(context.Background(), policy, phaseSimplify, c.Trace), c)
 }
 
 // simplifyWith is Simplify routed through a merger, so SimplifyCtx can
-// attach the context's provenance log and counters while the plain
-// entry point keeps the policy's boolean fast path.
+// attach the context's provenance log and counters.
 func simplifyWith(mg merger, c *Chain) *Chain {
 	states := make([]*State, len(c.States))
 	for i, s := range c.States {
 		states[i] = clonedState(s)
 	}
+	// rejected[i] is the last pass's verdict on (states[i], states[i+1])
+	// when that pair was judged as it stands now; Test is "" otherwise.
+	// Both slices compact in place: a pass writes index n ≤ i only after
+	// reading index i.
+	rejected := make([]MergeOutcome, len(states))
 	for {
 		merged := false
-		var out []*State
-		i := 0
-		for i < len(states) {
+		n := 0 // states[:n] holds this pass's result, rejected[:n] its verdicts
+		for i := 0; i < len(states); i++ {
 			cur := states[i]
-			for i+1 < len(states) && mg.mergeable(cur, states[i+1]) {
-				cur = mergeAdjacent(cur, states[i+1])
+			grown := false
+			for i+1 < len(states) {
+				var out MergeOutcome
+				if !grown && rejected[i].Test != "" {
+					out = rejected[i]
+					mg.replay(cur, states[i+1], out)
+				} else {
+					out = mg.judge(cur, states[i+1])
+				}
+				if !out.Accept {
+					rejected[n] = out
+					break
+				}
+				if !grown && n > 0 {
+					// cur's run grows: the verdict that ended the run
+					// before it was judged on cur's first state only.
+					rejected[n-1].Test = ""
+				}
+				mergeAdjacent(cur, states[i+1])
+				grown, merged = true, true
 				i++
-				merged = true
 			}
-			out = append(out, cur)
-			i++
+			states[n] = cur
+			n++
 		}
-		states = out
+		states = states[:n]
 		if !merged {
 			break
 		}
@@ -236,21 +281,18 @@ func simplifyWith(mg merger, c *Chain) *Chain {
 }
 
 // mergeAdjacent folds state b (the immediate successor of a in the chain)
-// into a: the cascade concatenates, the intervals concatenate (they are
-// adjacent in the trace) and the power attributes and calibration sums
-// pool exactly.
-func mergeAdjacent(a, b *State) *State {
-	out := clonedState(a)
+// into a, in place: the cascade concatenates, the intervals concatenate
+// (they are adjacent in the trace) and the power attributes and
+// calibration sums pool exactly.
+func mergeAdjacent(a, b *State) {
 	// Both a and b are single-alternative at simplify time (join has not
 	// run yet); the cascades concatenate.
-	out.Alts[0].Seq.Phases = append(out.Alts[0].Seq.Phases, b.Alts[0].Seq.Phases...)
-	out.Power.Merge(b.Power)
-	mergeCalib(out, b)
+	a.Alts[0].Seq.Phases = append(a.Alts[0].Seq.Phases, b.Alts[0].Seq.Phases...)
+	a.Power.Merge(b.Power)
+	mergeCalib(a, b)
 	// Adjacent intervals coalesce into [start_a, stop_b].
-	last := out.Intervals[len(out.Intervals)-1]
-	bi := b.Intervals[0]
-	out.Intervals[len(out.Intervals)-1] = Interval{Trace: last.Trace, Start: last.Start, Stop: bi.Stop}
-	return out
+	last := &a.Intervals[len(a.Intervals)-1]
+	last.Stop = b.Intervals[0].Stop
 }
 
 // Join implements the join procedure of Section IV: starting from the
@@ -350,8 +392,7 @@ func (h *pairHeap) pop() pairItem {
 // so rank order and slice-position order agree at every step, and the
 // popped pair is exactly the pair the restart scan would find next.
 // Per collapse the work drops from O(n²) re-evaluations to O(n) probes,
-// taking the fixpoint from ~O(n³) Evaluate calls to O(n²) overall (a
-// memoized merger turns most re-probes into memo hits).
+// taking the fixpoint from ~O(n³) Evaluate calls to O(n²) overall.
 //
 // A provenance log gets this engine's own order: the seeding pass's
 // rejections, then per collapse its accept and the re-probe's
@@ -368,8 +409,9 @@ func collapseWorklist(mg *merger, m *Model, alias map[int]int) {
 
 	// probe records the decision for the counters and enqueues the pair
 	// when it is currently mergeable. Argument order is (earlier rank,
-	// later rank) — the restart scan's (i, j) order, which keeps memo
-	// keys and the logged A/B orientation the same as in phase 1.
+	// later rank) — the restart scan's (i, j) order, which keeps the
+	// t statistic's sign and the logged A/B orientation the same as in
+	// phase 1.
 	probe := func(ra, rb int) {
 		out := mg.decide(byRank[ra], byRank[rb])
 		if out.Accept {

@@ -18,29 +18,34 @@ const (
 
 // merger bundles a MergePolicy with the observation sinks of one merge
 // pass: the provenance log the decisions are recorded into and the
-// per-case merge counters. A merger without sinks (Simplify's, or a
-// context carrying neither) decides through the policy's plain boolean
-// path — the instrumented and uninstrumented passes share one decision
-// implementation (MergePolicy.Evaluate), so observing a run cannot
-// change its model.
+// per-case merge counters. The instrumented and uninstrumented passes
+// share one decision implementation (MergePolicy.evaluate), so observing
+// a run cannot change its model.
 type merger struct {
 	policy MergePolicy
 	phase  string
 	trace  int
-	// memo caches Evaluate verdicts by moments pair; nil makes every
-	// check recompute (the configuration of a one-shot JoinCtx).
-	memo   *EvalMemo
+	// crit is the policy's critical-|t| table, resolved once per pass;
+	// nil while a provenance log is attached, since the log records
+	// every t-test's exact p-value.
+	crit   *stats.CriticalT
 	prov   *obs.ProvenanceLog
 	checks *obs.Counter    // one tick per mergeability probe
-	evals  *obs.Counter    // one tick per real Evaluate computation (memo miss)
+	evals  *obs.Counter    // ticks with checks (see newMerger)
 	cases  [4]*obs.Counter // indexed by MergeOutcome.Case, 1..3; ticks per collapse
 }
 
-// newMerger returns a merger deciding through memo (nil: unmemoized),
-// with the context's provenance log and registry attached, if any.
-func newMerger(ctx context.Context, policy MergePolicy, phase string, traceIdx int, memo *EvalMemo) merger {
-	mg := merger{policy: policy, phase: phase, trace: traceIdx, memo: memo}
+// newMerger returns a merger with the context's provenance log and
+// registry attached, if any. psm_merge_evals_total ticks once per
+// check, like psm_merge_checks_total: it counted the evaluations a
+// verdict memo did not serve, and no verdict is memoized any more. It
+// stays until the benchmark's per-layer metric that reads it goes.
+func newMerger(ctx context.Context, policy MergePolicy, phase string, traceIdx int) merger {
+	mg := merger{policy: policy, phase: phase, trace: traceIdx}
 	mg.prov = obs.ProvenanceFrom(ctx)
+	if mg.prov == nil {
+		mg.crit = stats.CriticalTable(policy.Alpha)
+	}
 	if reg := obs.RegistryFrom(ctx); reg != nil {
 		mg.checks = reg.Counter("psm_merge_checks_total")
 		mg.evals = reg.Counter("psm_merge_evals_total")
@@ -51,55 +56,42 @@ func newMerger(ctx context.Context, policy MergePolicy, phase string, traceIdx i
 	return mg
 }
 
-// evaluate computes (or recalls) the verdict for the ordered pair of
-// power summaries, ticking the evals counter only on real computations.
-func (mg *merger) evaluate(a, b stats.Moments) MergeOutcome {
-	if mg.memo == nil {
-		mg.evals.Inc()
-		return mg.policy.Evaluate(a, b)
-	}
-	before := mg.memo.Evals()
-	out := mg.memo.Evaluate(a, b)
-	if mg.memo.Evals() != before {
-		mg.evals.Inc()
-	}
-	return out
-}
-
-// decide is the worklist engine's probe: a counted, memoized verdict
-// with no per-case accounting. The worklist enqueues accepting pairs
+// decide is the worklist engine's probe: a counted verdict with no
+// per-case accounting. The worklist enqueues accepting pairs
 // speculatively; only a pair it collapses counts as a merge and is
 // logged as an accept (see collapseWorklist). A rejection is final for
 // the pair's current evidence, so it is logged here, when it is made.
 func (mg *merger) decide(a, b *State) MergeOutcome {
-	out := mg.evaluate(a.Power, b.Power)
+	out := mg.policy.evaluate(a.Power, b.Power, mg.crit)
 	mg.checks.Inc()
+	mg.evals.Inc()
 	if !out.Accept && mg.prov != nil {
 		mg.record(a, b, out)
 	}
 	return out
 }
 
-// mergeable decides whether two states' power attributes merge,
-// recording the decision when a sink is attached. In simplify and join
-// phase 1 every accepted probe collapses immediately, so per-case
+// judge decides whether two states' power attributes merge, counting
+// the check and recording it when a sink is attached. In simplify and
+// join phase 1 every accepted probe collapses immediately, so per-case
 // counters tick here on accept.
-func (mg *merger) mergeable(a, b *State) bool {
-	if mg.prov == nil && mg.checks == nil {
-		if mg.memo == nil {
-			return mg.policy.Mergeable(a.Power, b.Power)
-		}
-		return mg.memo.Evaluate(a.Power, b.Power).Accept
-	}
-	out := mg.evaluate(a.Power, b.Power)
-	mg.checks.Inc()
+func (mg *merger) judge(a, b *State) MergeOutcome {
+	out := mg.policy.evaluate(a.Power, b.Power, mg.crit)
+	mg.replay(a, b, out)
 	if out.Accept {
 		mg.countMerge(out.Case)
 	}
+	return out
+}
+
+// replay counts and records a check whose verdict out is already known:
+// the pair's moments are those it was judged on.
+func (mg *merger) replay(a, b *State, out MergeOutcome) {
+	mg.checks.Inc()
+	mg.evals.Inc()
 	if mg.prov != nil {
 		mg.record(a, b, out)
 	}
-	return out.Accept
 }
 
 // countMerge ticks the per-case merge counter for one actual collapse.
@@ -142,10 +134,11 @@ func GenerateCtx(ctx context.Context, dict *mining.Dictionary, pt *mining.PropTr
 
 // SimplifyCtx is Simplify under a "simplify" span, with the context's
 // provenance log and merge counters attached. The produced chain is
-// identical to Simplify's for any context.
+// identical to Simplify's for any context; a replayed verdict (see
+// Simplify) is counted and logged like a fresh one.
 func SimplifyCtx(ctx context.Context, c *Chain, policy MergePolicy) *Chain {
 	_, span := obs.Start(ctx, "simplify", obs.KV("trace", c.Trace), obs.KV("states_in", len(c.States)))
-	out := simplifyWith(newMerger(ctx, policy, phaseSimplify, c.Trace, NewEvalMemo(policy)), c)
+	out := simplifyWith(newMerger(ctx, policy, phaseSimplify, c.Trace), c)
 	span.SetAttr("states_out", len(out.States))
 	span.End()
 	return out
@@ -156,19 +149,13 @@ func SimplifyCtx(ctx context.Context, c *Chain, policy MergePolicy) *Chain {
 // through a fresh Joiner and snapshots it, so the join's fixpoint runs
 // in a "collapse" span nested under "join". The produced model is
 // identical to Join's for any context.
-//
-// The Joiner carries no verdict memo: one fold and one snapshot re-ask
-// too few verdicts to repay growing a fresh memo map, so every check
-// runs MergePolicy.Evaluate and psm_merge_evals_total equals
-// psm_merge_checks_total. psmd's persistent Joiner, which reuses its
-// verdicts across snapshots, keeps its memo.
 func JoinCtx(ctx context.Context, chains []*Chain, policy MergePolicy) *Model {
 	if len(chains) == 0 {
 		return &Model{Initials: map[int]int{}}
 	}
 	ctx, span := obs.Start(ctx, "join", obs.KV("chains", len(chains)))
 	defer span.End()
-	j := newJoiner(policy, nil)
+	j := NewJoiner(policy)
 	for _, c := range chains {
 		j.Add(ctx, c)
 	}

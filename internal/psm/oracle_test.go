@@ -85,7 +85,7 @@ func joinPhase1(mg *merger, m *Model, alias map[int]int) {
 	for i := 0; i < len(m.States); {
 		merged := false
 		for j := 0; j < kept; j++ {
-			if mg.mergeable(m.States[j], m.States[i]) {
+			if mg.judge(m.States[j], m.States[i]).Accept {
 				collapse(m, alias, j, i)
 				merged = true
 				break
@@ -109,10 +109,9 @@ func collapse(m *Model, alias map[int]int, ai, bi int) {
 
 // joinPooled runs phase 1 and the worklist fixpoint on a pooled model,
 // mutating and returning it, with the context's provenance log and
-// merge counters attached. Verdicts go through memo; nil runs every
-// check unmemoized, as JoinCtx does.
-func joinPooled(ctx context.Context, m *Model, policy MergePolicy, memo *EvalMemo) *Model {
-	mg := newMerger(ctx, policy, phaseJoin, -1, memo)
+// merge counters attached.
+func joinPooled(ctx context.Context, m *Model, policy MergePolicy) *Model {
+	mg := newMerger(ctx, policy, phaseJoin, -1)
 	alias := map[int]int{}
 	joinPhase1(&mg, m, alias)
 	collapseWorklist(&mg, m, alias)
@@ -121,35 +120,12 @@ func joinPooled(ctx context.Context, m *Model, policy MergePolicy, memo *EvalMem
 	return m
 }
 
-// joinOracle is the parent's Join: Pool, then joinPooled, unmemoized
-// like JoinCtx.
+// joinOracle is the parent's Join: Pool, then joinPooled.
 func joinOracle(ctx context.Context, chains []*Chain, policy MergePolicy) *Model {
 	if len(chains) == 0 {
 		return &Model{Initials: map[int]int{}}
 	}
-	return joinPooled(ctx, Pool(chains), policy, nil)
-}
-
-// joinOracleMemo is joinOracle with one verdict memo shared by phase 1
-// and the fixpoint — the configuration of psmd's persistent Joiner.
-func joinOracleMemo(ctx context.Context, chains []*Chain, policy MergePolicy) *Model {
-	if len(chains) == 0 {
-		return &Model{Initials: map[int]int{}}
-	}
-	return joinPooled(ctx, Pool(chains), policy, NewEvalMemo(policy))
-}
-
-// foldJoin folds the chains, in order, through one memoized NewJoiner
-// and snapshots it — psmd's join configuration.
-func foldJoin(ctx context.Context, chains []*Chain, policy MergePolicy) *Model {
-	if len(chains) == 0 {
-		return &Model{Initials: map[int]int{}}
-	}
-	j := NewJoiner(policy)
-	for _, c := range chains {
-		j.Add(ctx, c)
-	}
-	return j.Snapshot(ctx)
+	return joinPooled(ctx, Pool(chains), policy)
 }
 
 // joinRun is one observed join: the model, its canonical provenance
@@ -187,18 +163,20 @@ func observedJoin(t testing.TB, join func(context.Context) *Model) joinRun {
 // CheckJoinMatchesOracle requires production JoinCtx to equal the
 // pooled oracle on chains under policy: a deep-equal model, a
 // byte-equal provenance log and equal psm_merge_* counters against
-// Pool + phase 1 + worklist, both unmemoized; the same three against
-// the memoized oracle for a memoized NewJoiner fold (psmd's
-// configuration); and a deep-equal model against Pool + phase 1 + the
-// unmemoized restart scan. It never modifies the chains.
+// Pool + phase 1 + worklist. Both observed runs carry a provenance
+// log, so every t-test computes its p-value; JoinCtx without one,
+// deciding from the critical-|t| table, must build the same model, and
+// so must Pool + phase 1 + the restart scan, also without one. It never
+// modifies the chains.
 func CheckJoinMatchesOracle(t testing.TB, chains []*Chain, policy MergePolicy) {
 	t.Helper()
 	got := observedJoin(t, func(ctx context.Context) *Model { return JoinCtx(ctx, chains, policy) })
 	want := observedJoin(t, func(ctx context.Context) *Model { return joinOracle(ctx, chains, policy) })
 	checkSameJoin(t, "JoinCtx", got, want)
-	gotMemo := observedJoin(t, func(ctx context.Context) *Model { return foldJoin(ctx, chains, policy) })
-	wantMemo := observedJoin(t, func(ctx context.Context) *Model { return joinOracleMemo(ctx, chains, policy) })
-	checkSameJoin(t, "memoized Joiner", gotMemo, wantMemo)
+	if plain := JoinCtx(context.Background(), chains, policy); !reflect.DeepEqual(plain, got.model) {
+		t.Fatalf("JoinCtx without a provenance log diverges from JoinCtx with one: %d states, want %d",
+			len(plain.States), len(got.model.States))
+	}
 	if len(chains) == 0 {
 		return
 	}
@@ -303,7 +281,7 @@ func TestJoinPooledIdempotent(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		once := JoinCtx(ctx, randMergeChains(rng), DefaultMergePolicy())
-		twice := joinPooled(ctx, CloneModel(once), DefaultMergePolicy(), nil)
+		twice := joinPooled(ctx, CloneModel(once), DefaultMergePolicy())
 		if !reflect.DeepEqual(once, twice) {
 			t.Fatalf("seed %d: a pooled pass over a joined model is not the identity", seed)
 		}
@@ -377,4 +355,95 @@ func fuzzChains(data []byte) []*Chain {
 		chains = append(chains, cur)
 	}
 	return chains
+}
+
+// simplifyOracle is simplify as first shipped: restart passes that judge
+// every adjacent pair afresh and merge into a copy of the run's state.
+func simplifyOracle(ctx context.Context, c *Chain, policy MergePolicy) *Chain {
+	mg := newMerger(ctx, policy, phaseSimplify, c.Trace)
+	states := make([]*State, len(c.States))
+	for i, s := range c.States {
+		states[i] = clonedState(s)
+	}
+	for {
+		merged := false
+		var out []*State
+		for i := 0; i < len(states); i++ {
+			cur := states[i]
+			for i+1 < len(states) && mg.judge(cur, states[i+1]).Accept {
+				cur = clonedState(cur)
+				mergeAdjacent(cur, states[i+1])
+				i++
+				merged = true
+			}
+			out = append(out, cur)
+		}
+		states = out
+		if !merged {
+			break
+		}
+	}
+	for i, s := range states {
+		s.ID = i
+	}
+	return &Chain{Dict: c.Dict, Trace: c.Trace, States: states}
+}
+
+// growingRunChain is a chain on which simplify's second pass grows a run
+// past a pair its first pass rejected, under the default policy: the
+// first pass rejects (A, B), merges B into B′ and rejects (BB′, C); the
+// second merges A with BB′, and the pooled ABB′ then merges with C. A
+// pass that replayed the first pass's (BB′, C) rejection for (ABB′, C)
+// would stop one state short.
+func growingRunChain() *Chain {
+	c := &Chain{}
+	for i, st := range []struct {
+		n    int
+		mean float64
+	}{{10, 1.0}, {2, 1.08}, {20, 1.04}, {2, 0.985}} {
+		c.States = append(c.States, &State{
+			ID:        i,
+			Alts:      []Alt{{Seq: Sequence{Phases: []Phase{{Prop: i, Kind: Until}}}, Count: 1}},
+			Power:     momentsOf(st.n, st.mean, 1e-4),
+			Intervals: []Interval{{Start: 10 * i, Stop: 10*i + 9}},
+		})
+	}
+	return c
+}
+
+// TestSimplifyReplayMatchesOracle: the verdicts simplify replays change
+// nothing observable. Over seeded random chains and growingRunChain
+// under every policy, SimplifyCtx must equal the judge-every-pair oracle
+// in the chain, the provenance log byte for byte and the psm_merge_*
+// counters, and plain Simplify, deciding from the critical-|t| table,
+// must build the same chain.
+func TestSimplifyReplayMatchesOracle(t *testing.T) {
+	observed := func(simplify func(context.Context) *Chain) (*Chain, joinRun) {
+		var out *Chain
+		r := observedJoin(t, func(ctx context.Context) *Model { out = simplify(ctx); return nil })
+		return out, r
+	}
+	if got := Simplify(growingRunChain(), DefaultMergePolicy()); len(got.States) != 1 {
+		t.Fatalf("growingRunChain simplifies to %d states, want 1", len(got.States))
+	}
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		chains := randMergeChains(rng)
+		if seed == 0 {
+			chains = append(chains, growingRunChain())
+		}
+		for _, c := range chains {
+			for _, pol := range append([]MergePolicy{DefaultMergePolicy()}, tightPolicies...) {
+				got, gotRun := observed(func(ctx context.Context) *Chain { return SimplifyCtx(ctx, c, pol) })
+				want, wantRun := observed(func(ctx context.Context) *Chain { return simplifyOracle(ctx, c, pol) })
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("seed %d α %g: simplify diverges from the oracle: %d states, want %d", seed, pol.Alpha, len(got.States), len(want.States))
+				}
+				checkSameJoin(t, "SimplifyCtx", gotRun, wantRun)
+				if plain := Simplify(c, pol); !reflect.DeepEqual(want, plain) {
+					t.Fatalf("seed %d α %g: Simplify without a provenance log diverges from the oracle", seed, pol.Alpha)
+				}
+			}
+		}
+	}
 }

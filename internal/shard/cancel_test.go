@@ -36,7 +36,9 @@ func (c *cancelAfter) Err() error {
 // shards' chain rebuild — after k = 1, 2, 3 of at least five chains — at
 // shard counts {1, 2}. The snapshot fails with context.Canceled and is
 // not cached, and the next, uncancelled snapshot is byte-identical in
-// DOT and JSON to a fresh engine fed the same sessions.
+// DOT and JSON to a fresh engine fed the same sessions. The rebuild the
+// cancelled snapshot began is counted once, by the snapshot that
+// completes it: one rebuild, no delta.
 func TestSnapshotCancelledMidExport(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	c := genParityCase(rng)
@@ -66,6 +68,10 @@ func TestSnapshotCancelledMidExport(t *testing.T) {
 			}
 			if got := cached(); got != 0 {
 				t.Fatalf("shards %d k %d: the snapshot after a cancelled one was served from the cache", n, k)
+			}
+			if met := co.Metrics(); met.Snapshots != 1 || met.Rebuilds != 1 || met.DeltaSnapshots != 0 {
+				t.Fatalf("shards %d k %d: snapshots %d rebuilds %d delta %d after a cancelled and a plain snapshot, want 1/1/0",
+					n, k, met.Snapshots, met.Rebuilds, met.DeltaSnapshots)
 			}
 			gd, gj := exports(t, m)
 			wd, wj := exports(t, engineSnapshot(t, c, order))

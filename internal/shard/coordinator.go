@@ -114,13 +114,12 @@ type Coordinator struct {
 	candidates []mining.Atom
 	autoID     int64
 
-	// Snapshot state, serialized by snapMu: the cross-snapshot verdict
-	// memo, the last global kept atom set (the global epoch), the
-	// persistent fold — one joiner over the global dictionary, plus what
-	// each shard has contributed to it so far — and the last model built
-	// with the per-shard session counts it covers (see Snapshot).
+	// Snapshot state, serialized by snapMu: the last global kept atom
+	// set (the global epoch), the persistent fold — one joiner over the
+	// global dictionary, plus what each shard has contributed to it so
+	// far — and the last model built with the per-shard session counts
+	// it covers (see Snapshot).
 	snapMu     sync.Mutex
-	memo       *psm.EvalMemo
 	lastKept   []int
 	joiner     *psm.Joiner
 	gdict      *mining.Dictionary
@@ -155,7 +154,6 @@ func New(cfg Config) *Coordinator {
 		cfg:        cfg,
 		ring:       newRing(n),
 		reg:        reg,
-		memo:       psm.NewEvalMemo(cfg.Stream.Merge),
 		mSnapshots: reg.Counter("psmd_snapshots_total"),
 		mRebuilds:  reg.Counter("psmd_rebuilds_total"),
 		mDelta:     reg.Counter("psmd_snapshots_delta_total"),

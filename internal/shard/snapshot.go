@@ -60,12 +60,11 @@ func (c *Coordinator) miningCut(candidates []mining.Atom) globalCut {
 // moved and no shard before the last shard already folded has gained a
 // chain; the snapshot then interns only the new shard-local keys and
 // remaps and folds only the new chains — psm.Joiner's left fold makes
-// that equal to folding everything. Otherwise it starts a fresh fold
-// over every chain, sharing the cross-snapshot verdict memo
-// (psm.NewJoinerMemo), which resets whenever the globally-selected kept
-// atom set moves (a global epoch boundary, mirroring psm.Joiner.Reset).
-// At one shard every snapshot under an unchanged kept set folds only
-// the new chains.
+// that equal to folding everything. Otherwise — the globally-selected
+// kept atom set moved (a global epoch boundary, counted as a rebuild
+// once the exports succeed), or an earlier shard grew — it starts a
+// fresh fold over every chain. At one shard every snapshot under an
+// unchanged kept set folds only the new chains.
 //
 // A model is built once per generation: when no shard has completed a
 // session since the last successful snapshot, Snapshot returns that
@@ -127,24 +126,23 @@ func (c *Coordinator) Snapshot(ctx context.Context) (*psm.Model, error) {
 	}
 
 	// Global epoch accounting: a moved kept set voids every shard's
-	// chains (they rebuild inside ExportChains), the fold, and every
-	// memoized verdict (different propositions, same moments would be a
-	// lie — see psm.Joiner.Reset for the same boundary in the fold
-	// engine).
+	// chains (they rebuild inside ExportChains) and the fold (see
+	// psm.Joiner.Reset for the same boundary in the fold engine). The
+	// new kept set is committed only once every export succeeded, so a
+	// cancelled rebuild is counted as a rebuild by the snapshot that
+	// completes it.
 	rebuild := !equalInts(idx, c.lastKept)
-	if rebuild {
-		c.lastKept = append([]int(nil), idx...)
-		c.memo.Reset()
-		c.joiner = nil
-		span.SetAttr("rebuild", true)
-	}
-
 	exps := make([]stream.ShardExport, len(c.shards))
 	for i, sh := range c.shards {
 		var err error
 		if exps[i], err = sh.eng.ExportChains(ctx, idx, cut.counts[i]); err != nil {
 			return nil, err
 		}
+	}
+	if rebuild {
+		c.lastKept = append([]int(nil), idx...)
+		c.joiner = nil
+		span.SetAttr("rebuild", true)
 	}
 
 	if c.joiner == nil || !c.extendsFold(exps) {
@@ -153,7 +151,7 @@ func (c *Coordinator) Snapshot(ctx context.Context) (*psm.Model, error) {
 			kept[i] = candidates[ci]
 		}
 		c.gdict = mining.NewDictionary(schema, kept)
-		c.joiner = psm.NewJoinerMemo(c.memo)
+		c.joiner = psm.NewJoiner(c.cfg.Stream.Merge)
 		c.folded = make([]foldedShard, len(c.shards))
 		span.SetAttr("fold", "fresh")
 	} else {

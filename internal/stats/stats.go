@@ -3,6 +3,7 @@
 // state merging, the Student-t distribution (via the regularized incomplete
 // beta function), Welch's two-sample t-test (mergeability Case 2 of the
 // paper), the one-sample t-test against a single observation (Case 3),
+// a table of critical |t| that settles both without their p-values,
 // and Pearson correlation and least-squares linear regression over an
 // exact, mergeable accumulator (Hamming-distance power calibration).
 //
@@ -225,78 +226,76 @@ func TwoSidedTPValue(t, df float64) float64 {
 
 // --- hypothesis tests --------------------------------------------------------
 
-// TTestResult reports the outcome of a t-test.
-type TTestResult struct {
-	T  float64 // test statistic
-	DF float64 // degrees of freedom (Welch–Satterthwaite for Welch's test)
-	P  float64 // two-sided p-value
-}
-
 // ErrInsufficientData is returned when a test cannot be computed from the
 // supplied sample sizes.
 var ErrInsufficientData = errors.New("stats: insufficient data for test")
 
-// WelchTTest performs Welch's unequal-variance two-sample t-test on two
-// summarized samples. This is mergeability Case 2 of the paper: two
-// until-pattern states are mergeable when the test fails to reject equality
-// of means (p >= alpha).
+// WelchT returns the statistic and degrees of freedom of Welch's
+// unequal-variance two-sample t-test on two summarized samples: Welch's
+// t and the Welch–Satterthwaite df. This is mergeability Case 2 of the
+// paper: two until-pattern states are mergeable when the test fails to
+// reject equality of means, TwoSidedTPValue(t, df) >= alpha.
 //
 // Both samples need at least two observations. When both variances are zero
-// the test degenerates: T is 0 if the means coincide and +Inf otherwise,
-// with P 1 or 0 accordingly.
-func WelchTTest(a, b Moments) (TTestResult, error) {
+// the test degenerates: t is 0 if the means coincide and ±Inf otherwise
+// (P 1 or 0), with the pooled df.
+func WelchT(a, b Moments) (t, df float64, err error) {
 	if a.N < 2 || b.N < 2 {
-		return TTestResult{}, ErrInsufficientData
+		return 0, 0, ErrInsufficientData
 	}
 	va, vb := a.Variance(), b.Variance()
 	na, nb := float64(a.N), float64(b.N)
 	se2 := va/na + vb/nb
 	diff := a.Mean() - b.Mean()
+	df = na + nb - 2
 	if se2 == 0 {
-		if diff == 0 {
-			return TTestResult{T: 0, DF: na + nb - 2, P: 1}, nil
-		}
-		return TTestResult{T: math.Inf(sign(diff)), DF: na + nb - 2, P: 0}, nil
+		return degenerateT(diff), df, nil
 	}
-	t := diff / math.Sqrt(se2)
 	// Welch–Satterthwaite degrees of freedom. With near-denormal
 	// variances the denominator can underflow to 0 while se2 does not;
 	// fall back to the pooled df instead of propagating Inf/NaN into the
 	// t distribution.
-	df := na + nb - 2
 	if den := va*va/(na*na*(na-1)) + vb*vb/(nb*nb*(nb-1)); den > 0 {
 		df = se2 * se2 / den
 	}
 	if df < 1 {
 		df = 1
 	}
-	return TTestResult{T: t, DF: df, P: TwoSidedTPValue(t, df)}, nil
+	return diff / math.Sqrt(se2), df, nil
 }
 
-// OneSampleTTest tests whether a single observation x is consistent with
+// OneSampleT returns the statistic and degrees of freedom of the
+// one-sample t-test of whether a single observation x is consistent with
 // the sample summarized by a. This is mergeability Case 3 of the paper
-// (until-state vs next-state): the statistic is a prediction-interval test,
+// (until-state vs next-state): the statistic is a prediction-interval
+// test,
 //
 //	t = (x - mean) / (s * sqrt(1 + 1/n)),  df = n - 1.
 //
 // The sample needs at least two observations. Zero sample variance
-// degenerates like WelchTTest.
-func OneSampleTTest(a Moments, x float64) (TTestResult, error) {
+// degenerates like WelchT.
+func OneSampleT(a Moments, x float64) (t, df float64, err error) {
 	if a.N < 2 {
-		return TTestResult{}, ErrInsufficientData
+		return 0, 0, ErrInsufficientData
 	}
 	n := float64(a.N)
 	s := a.StdDev()
 	diff := x - a.Mean()
-	df := n - 1
+	df = n - 1
 	if s == 0 {
-		if diff == 0 {
-			return TTestResult{T: 0, DF: df, P: 1}, nil
-		}
-		return TTestResult{T: math.Inf(sign(diff)), DF: df, P: 0}, nil
+		return degenerateT(diff), df, nil
 	}
-	t := diff / (s * math.Sqrt(1+1/n))
-	return TTestResult{T: t, DF: df, P: TwoSidedTPValue(t, df)}, nil
+	return diff / (s * math.Sqrt(1+1/n)), df, nil
+}
+
+// degenerateT is the statistic of a test whose standard error is zero:
+// 0 when the means coincide, ±Inf otherwise. TwoSidedTPValue maps them
+// to P = 1 and P = 0.
+func degenerateT(diff float64) float64 {
+	if diff == 0 {
+		return 0
+	}
+	return math.Inf(sign(diff))
 }
 
 func sign(x float64) int {

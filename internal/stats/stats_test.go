@@ -415,3 +415,27 @@ func TestQuickWelchSymmetric(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TTestResult reports the outcome of a t-test: its statistic, degrees of
+// freedom and two-sided p-value.
+type TTestResult struct {
+	T, DF, P float64
+}
+
+// WelchTTest is Welch's two-sample t-test: WelchT with its p-value.
+func WelchTTest(a, b Moments) (TTestResult, error) {
+	t, df, err := WelchT(a, b)
+	if err != nil {
+		return TTestResult{}, err
+	}
+	return TTestResult{T: t, DF: df, P: TwoSidedTPValue(t, df)}, nil
+}
+
+// OneSampleTTest is the one-sample t-test: OneSampleT with its p-value.
+func OneSampleTTest(a Moments, x float64) (TTestResult, error) {
+	t, df, err := OneSampleT(a, x)
+	if err != nil {
+		return TTestResult{}, err
+	}
+	return TTestResult{T: t, DF: df, P: TwoSidedTPValue(t, df)}, nil
+}

@@ -153,9 +153,8 @@ var LatencyBuckets = obs.ExponentialBuckets(0.001, 4, 12)
 // can invalidate earlier decisions; the engine detects this by comparing
 // kept-atom indices per snapshot (an epoch) and rebuilds all chains from
 // the stored bitsets only then, folding incrementally otherwise. An
-// epoch change resets the joiner wholesale — fold, verdict memo and its
-// accounting together (see psm.Joiner.Reset) — so everything the joiner
-// reports describes the current epoch.
+// epoch change resets the joiner's fold (see psm.Joiner.Reset), so
+// everything the joiner reports describes the current epoch.
 //
 // psmd runs every engine as one shard of a shard.Coordinator: the
 // coordinator imposes the globally-selected kept atom set through
@@ -507,8 +506,8 @@ func (e *Engine) ensureEpoch(ctx context.Context, idx []int, n int) (rebuilt boo
 		// Epoch change: the new evidence moved the kept atom set, so every
 		// proposition id and chain is void. Rebuild from the stored
 		// bitsets — the only path that is not incremental. The joiner
-		// reset clears its fold and verdict memo together (an epoch
-		// boundary, see psm.Joiner.Reset).
+		// reset clears its fold (an epoch boundary, see
+		// psm.Joiner.Reset).
 		e.keptIdx = append([]int(nil), idx...)
 		kept := make([]mining.Atom, len(idx))
 		for i, ci := range idx {

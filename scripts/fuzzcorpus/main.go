@@ -1,6 +1,7 @@
 // Command fuzzcorpus (re)generates the committed seed corpora of
 // FuzzWireScan (internal/stream/testdata/fuzz/FuzzWireScan),
 // FuzzRegressionMerge (internal/stats/testdata/fuzz/FuzzRegressionMerge),
+// FuzzCriticalT (internal/stats/testdata/fuzz/FuzzCriticalT),
 // FuzzJoinMatchesOracle
 // (internal/psm/testdata/fuzz/FuzzJoinMatchesOracle) and
 // FuzzMineMatchesOracle
@@ -13,7 +14,11 @@
 // every fallback trigger and the framing edges. The FuzzRegressionMerge
 // seeds cover calibration-shaped pairs, the whole float64 exponent range,
 // exact cancellation, a constant regressor and every special value. The
-// FuzzJoinMatchesOracle seeds cover each merge policy, one to six
+// FuzzCriticalT seeds sit one ulp either side of critical |t| values and
+// of the table's margins around them, at df 1 and 2, at fractional df,
+// past the table's end and its df cap, at ±Inf and NaN t, and at α
+// inside and outside the tabulated range. The FuzzJoinMatchesOracle
+// seeds cover each merge policy, one to six
 // chains, and every sample shape (next-states, small and heavy noisy
 // runs, constant pairs). The FuzzMineMatchesOracle seeds cover more
 // than 64 candidates, comparison triples and polarity pairs, a 130-bit
@@ -23,11 +28,14 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+
+	"psmkit/internal/stats"
 )
 
 const header = `{"signals":[{"name":"a","width":8},{"name":"b","width":64}],"inputs":["a"]}`
@@ -52,6 +60,7 @@ func main() {
 	}
 	write(filepath.Join("internal", "stream", "testdata", "fuzz", "FuzzWireScan"), seeds)
 	write(filepath.Join("internal", "stats", "testdata", "fuzz", "FuzzRegressionMerge"), regressionSeeds())
+	writeBodies(filepath.Join("internal", "stats", "testdata", "fuzz", "FuzzCriticalT"), criticalSeeds())
 	write(filepath.Join("internal", "psm", "testdata", "fuzz", "FuzzJoinMatchesOracle"), joinSeeds())
 	write(filepath.Join("internal", "mining", "testdata", "fuzz", "FuzzMineMatchesOracle"), mineSeeds())
 }
@@ -196,19 +205,90 @@ func regressionSeeds() map[string]string {
 	}
 }
 
+// critical returns the least |t| at which stats.TwoSidedTPValue(t, df)
+// falls below alpha, by bisection down to adjacent floats: the critical
+// value FuzzCriticalT's table holds for an integer df.
+func critical(df, alpha float64) float64 {
+	lo, hi := 0.0, 1.0
+	for stats.TwoSidedTPValue(hi, df) >= alpha {
+		lo, hi = hi, 2*hi
+	}
+	for {
+		mid := lo + (hi-lo)/2
+		if mid <= lo || mid >= hi {
+			return hi
+		}
+		if stats.TwoSidedTPValue(mid, df) < alpha {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+}
+
+// criticalSeeds encodes FuzzCriticalT inputs (t, df, α) as corpus-file
+// bodies. Around each critical value c it seeds one ulp either side of c
+// and of the margin edges c·(1 ± 1e-9), the relative band the table
+// keeps clear of.
+func criticalSeeds() map[string]string {
+	const margin = 1e-9
+	seeds := map[string]string{}
+	seed := func(name string, t, df, alpha float64) {
+		seeds[name] = fmt.Sprintf("float64(%v)\nfloat64(%v)\nfloat64(%v)\n", t, df, alpha)
+	}
+	around := func(name string, c, df, alpha float64) {
+		for i, v := range []float64{c * (1 - margin), c, c * (1 + margin)} {
+			seed(fmt.Sprintf("%s_%d_below", name, i), math.Nextafter(v, 0), df, alpha)
+			seed(fmt.Sprintf("%s_%d_above", name, i), math.Nextafter(v, math.Inf(1)), df, alpha)
+		}
+	}
+	around("df1", critical(1, 0.2), 1, 0.2)
+	around("df2", critical(2, 0.2), 2, 0.2)
+	around("df7_a05", critical(7, 0.05), 7, 0.05)
+	around("df3_a09", critical(3, 0.9), 3, 0.9)
+	around("df40_a1e-6", critical(40, 1e-6), 40, 1e-6)
+	// A fractional df lies between its neighbours' critical values.
+	around("df1.5_hi", critical(1, 0.2), 1.5, 0.2)
+	around("df1.5_lo", critical(2, 0.2), 1.5, 0.2)
+	around("df37.25_hi", critical(37, 0.5), 37.25, 0.5)
+	around("df37.25_lo", critical(38, 0.5), 37.25, 0.5)
+	// Past the table's last df (256), up to its cap (1e5) and beyond.
+	around("df256", critical(256, 0.2), 256, 0.2)
+	around("df300", critical(256, 0.2), 300, 0.2)
+	around("df1e5", critical(1e5, 0.2), 1e5, 0.2)
+	around("df2e5", critical(2e5, 0.2), 2e5, 0.2)
+	seed("t_inf", math.Inf(1), 10, 0.2)
+	seed("t_neginf", math.Inf(-1), 10, 0.2)
+	seed("t_nan", math.NaN(), 10, 0.2)
+	for _, alpha := range []float64{0, 1, 0.95, 1e-12, -0.1} {
+		seed(fmt.Sprintf("alpha_%v", alpha), 1, 10, alpha)
+	}
+	return seeds
+}
+
 // write stores each seed as one corpus file, seed_<name>.
 func write(dir string, seeds map[string]string) {
+	bodies := make(map[string]string, len(seeds))
+	for name, seed := range seeds {
+		bodies[name] = "[]byte(" + strconv.Quote(seed) + ")\n"
+	}
+	writeBodies(dir, bodies)
+}
+
+// writeBodies writes each corpus body, in the native corpus-file format,
+// as dir/seed_<name>.
+func writeBodies(dir string, bodies map[string]string) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	names := make([]string, 0, len(seeds))
-	for name := range seeds {
+	names := make([]string, 0, len(bodies))
+	for name := range bodies {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		body := "go test fuzz v1\n[]byte(" + strconv.Quote(seeds[name]) + ")\n"
+		body := "go test fuzz v1\n" + bodies[name]
 		if err := os.WriteFile(filepath.Join(dir, "seed_"+name), []byte(body), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
