@@ -65,7 +65,7 @@ bench-obs:
 
 # Join-engine scaling gate: production psm.JoinCtx (the worklist join)
 # must beat the pooled restart-scan oracle (internal/psm tests) by >=5x
-# wall clock with strictly fewer Evaluate calls and an identical model
+# wall clock with strictly fewer merge evaluations and an identical model
 # on the adversarial 1200-state chain set (the gate only runs under
 # BENCH_JOIN=1).
 bench-join:

@@ -197,6 +197,9 @@ func build(ctx context.Context, funcs, powers, inputs, out, dot, jsonOut string,
 		n += res.Instants
 	}
 	selfSpan.End()
+	// The root span times the flow, not the summary lines below: end it
+	// before they are written (the deferred End is then a no-op).
+	root.End()
 	mre := 0.0
 	if n > 0 {
 		mre = 100 * errSum / float64(n)

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -150,5 +152,50 @@ func TestTraceSummaryCoversWallClock(t *testing.T) {
 	}
 	if len(ds) == 0 {
 		t.Fatal("provenance log is empty")
+	}
+}
+
+// TestProvenanceOutput pins the -provenance log psmgen writes: every
+// Section IV-A decision of the run, canonically numbered (Seq is the
+// line index), in the simplify and join phases only, each naming its
+// test, and the same bytes for any worker count.
+func TestProvenanceOutput(t *testing.T) {
+	dir := t.TempDir()
+	fp, pp := writeTraces(t, dir)
+	provenance := func(jobs int) []byte {
+		t.Helper()
+		cli := &obs.CLI{ProvenancePath: filepath.Join(dir, fmt.Sprintf("prov%d.ndjson", jobs))}
+		err := run(fp, pp, "addr,en,we,wdata", filepath.Join(dir, "m.psm"), "", "",
+			mining.DefaultConfig(), psm.DefaultMergePolicy(), psm.DefaultCalibrationPolicy(), true, jobs, cli)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(cli.ProvenancePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	b2 := provenance(2)
+	ds, err := obs.ReadDecisions(bytes.NewReader(b2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ds) == 0 {
+		t.Fatal("no decisions logged")
+	}
+	for i, d := range ds {
+		if d.Seq != i {
+			t.Fatalf("decision %d has Seq %d; log is not canonically numbered", i, d.Seq)
+		}
+		if d.Phase != "simplify" && d.Phase != "join" {
+			t.Fatalf("decision %d has unknown phase %q", i, d.Phase)
+		}
+		if d.Test == "" {
+			t.Fatalf("decision %d names no test", i)
+		}
+	}
+	if !bytes.Equal(b2, provenance(1)) {
+		t.Fatal("provenance log differs between -j 1 and -j 2")
 	}
 }

@@ -1,21 +1,19 @@
 // Command psmreport regenerates the paper's evaluation tables and
-// exports the merge-provenance audit log of a trace set.
+// aggregates flight-recorder dumps.
 //
 // Usage:
 //
 //	psmreport -table 1
 //	psmreport -table 2 [-long] [-scale 0.1] [-ip AES]
 //	psmreport -table 3 [-scale 0.1] [-ip Camellia]
-//	psmreport provenance -func a.func.csv,b.func.csv -power a.power.csv,b.power.csv [-o log.ndjson]
 //	psmreport flight [-top 20] [dump.ndjson]
 //
 // scale < 1 shrinks the testset lengths proportionally for quick runs;
-// the paper's numbers use the full lengths (scale = 1). The provenance
-// subcommand rebuilds the model and writes every Section IV-A
-// mergeability decision as NDJSON, in the same canonical order psmd
-// serves at GET /v1/provenance. The flight subcommand aggregates a
-// flight-recorder dump (GET /debug/flight, or psmd's SIGQUIT/crash
-// output) into a per-stage self-time tree.
+// the paper's numbers use the full lengths (scale = 1). The flight
+// subcommand aggregates a flight-recorder dump (GET /debug/flight, or
+// psmd's SIGQUIT/crash output) into a per-stage self-time tree. The
+// merge-provenance audit log of a trace set comes from
+// `psmgen -provenance`.
 package main
 
 import (
@@ -28,13 +26,6 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "provenance" {
-		if err := runProvenance(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "psmreport:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if len(os.Args) > 1 && os.Args[1] == "flight" {
 		if err := runFlight(os.Args[2:]); err != nil {
 			fmt.Fprintln(os.Stderr, "psmreport:", err)

@@ -10,9 +10,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"psmkit/internal/stats"
 )
 
 func TestStartWithoutTracerIsInert(t *testing.T) {
@@ -320,6 +323,84 @@ func TestDecisionsRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadDecisions(strings.NewReader("not json\n")); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestDecisionsDeriveWhenRead pins what the log computes when it is
+// read rather than when a decision is recorded: a t-test recorded with
+// (t, df) and no Stat reads back with Stat = TwoSidedTPValue(t, df)
+// and no df, any other test keeps its Stat, and every state's ⟨μ, σ⟩
+// comes from its sums. What Decisions returns survives the wire: its
+// re-encoded parse gives the same bytes, non-finite statistics
+// included, and with finite statistics the parse is deep-equal to it.
+func TestDecisionsDeriveWhenRead(t *testing.T) {
+	welch := MergeDecision{Phase: "simplify", Trace: 0,
+		A:    MomentsRecord{State: 1, N: 5, Sum: 10, SumSq: 21},
+		B:    MomentsRecord{State: 2, N: 4, Sum: 8.4, SumSq: 18},
+		Case: 2, Test: "welch", Threshold: 0.2, T: 1.3, DF: 6.5}
+	epsilon := MergeDecision{Phase: "simplify", Trace: 0,
+		A:    MomentsRecord{State: 2, N: 1, Sum: 3.5, SumSq: 12.25},
+		B:    MomentsRecord{State: 3, N: 1, Sum: 3.6, SumSq: 12.96},
+		Case: 1, Test: "epsilon", Stat: 0.027, Threshold: 0.05, Accept: true}
+	finite := NewProvenanceLog()
+	finite.Record(welch)
+	finite.Record(epsilon)
+	ds := finite.Decisions()
+
+	if got, want := ds[0].Stat, stats.TwoSidedTPValue(welch.T, welch.DF); got != want || got == 0 {
+		t.Fatalf("welch Stat = %v, want TwoSidedTPValue(%v, %v) = %v", got, welch.T, welch.DF, want)
+	}
+	if ds[0].DF != 0 {
+		t.Fatalf("Decisions returned DF %v, want 0", ds[0].DF)
+	}
+	if ds[1].Stat != epsilon.Stat {
+		t.Fatalf("epsilon Stat = %v, want the recorded %v", ds[1].Stat, epsilon.Stat)
+	}
+	for _, m := range []MomentsRecord{ds[0].A, ds[0].B, ds[1].A, ds[1].B} {
+		s := stats.Moments{N: m.N, Sum: m.Sum, SumSq: m.SumSq}
+		if m.Mean != s.Mean() || m.Std != s.StdDev() {
+			t.Fatalf("state %d: mean %v std %v, want %v and %v from its sums", m.State, m.Mean, m.Std, s.Mean(), s.StdDev())
+		}
+	}
+	var buf bytes.Buffer
+	if err := WriteDecisions(&buf, ds); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := ReadDecisions(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(parsed, ds) {
+		t.Fatalf("parsed log %+v, want Decisions' %+v", parsed, ds)
+	}
+
+	nonFinite := NewProvenanceLog()
+	nonFinite.Record(welch)
+	nonFinite.Record(MergeDecision{Phase: "join", Trace: -1, Case: 3, Test: "one-sample", Threshold: 0.2, T: math.Inf(-1), DF: 9})
+	nonFinite.Record(MergeDecision{Phase: "join", Trace: -1, Case: 2, Test: "welch", Threshold: 0.2, T: math.Inf(1), DF: 3})
+	nonFinite.Record(MergeDecision{Phase: "join", Trace: -1, Case: 2, Test: "welch", Threshold: 0.2, T: math.NaN(), DF: 4})
+	nonFinite.Record(MergeDecision{Phase: "join", Trace: -1, Test: "non-finite",
+		A: MomentsRecord{State: 3, N: 2, Sum: math.NaN(), SumSq: math.Inf(1)}})
+	ds = nonFinite.Decisions()
+	if ds[1].Stat != 0 || ds[2].Stat != 0 || !math.IsNaN(ds[3].Stat) || !math.IsNaN(ds[4].A.Mean) {
+		t.Fatalf("non-finite derivations: %+v", ds)
+	}
+	var first, second bytes.Buffer
+	if err := WriteDecisions(&first, ds); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err = ReadDecisions(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteDecisions(&second, parsed); err != nil {
+		t.Fatal(err)
+	}
+	if first.String() != second.String() {
+		t.Fatalf("re-encoded log moved:\nfirst  %s\nsecond %s", first.String(), second.String())
+	}
+	if !strings.Contains(first.String(), `"t":"-Inf"`) || !strings.Contains(first.String(), `"stat":"NaN"`) {
+		t.Fatalf("non-finite values not encoded as strings:\n%s", first.String())
 	}
 }
 

@@ -8,12 +8,14 @@ import (
 	"math"
 	"sort"
 	"sync"
+
+	"psmkit/internal/stats"
 )
 
 // MomentsRecord is one state's power-attribute summary at decision
 // time. N/Sum/SumSq are the exact accumulator (enough to replay the
 // decision bit for bit); Mean/Std are the derived ⟨μ, σ⟩ a reader
-// wants to see.
+// wants to see, filled in from the sums by ProvenanceLog.Decisions.
 type MomentsRecord struct {
 	State int     `json:"state"`
 	N     int     `json:"n"`
@@ -28,7 +30,8 @@ type MomentsRecord struct {
 // the named test), the computed statistic against its threshold, and
 // the outcome. Phase tells where the comparison ran: "simplify"
 // (adjacent states of chain Trace) or "join" (the pooled model's
-// cross-chain collapse, Trace = -1).
+// cross-chain collapse, Trace = -1). A t-test's Stat is its two-sided
+// p-value, which ProvenanceLog.Decisions computes from T and DF.
 type MergeDecision struct {
 	Seq       int           `json:"seq"`
 	Phase     string        `json:"phase"`
@@ -40,7 +43,11 @@ type MergeDecision struct {
 	Stat      float64       `json:"stat"`
 	Threshold float64       `json:"threshold"`
 	T         float64       `json:"t,omitempty"`
-	Accept    bool          `json:"accept"`
+	// DF is a recorded t-test's degrees of freedom (0 for any other
+	// test). It lives in memory only: Decisions turns it into Stat and
+	// returns it 0, and the wire form has no df.
+	DF     float64 `json:"-"`
+	Accept bool    `json:"accept"`
 }
 
 // ProvenanceLog accumulates merge decisions. Recording is goroutine-
@@ -89,6 +96,9 @@ func (l *ProvenanceLog) Len() int {
 // the join decisions in program order (the collapse is sequential).
 // Seq is re-numbered over the canonical order, so two runs over the
 // same inputs return byte-identical logs regardless of worker count.
+// The derived numbers are computed here, not when a decision is
+// recorded: each t-test's p-value from its T and DF, and each state's
+// ⟨μ, σ⟩ from its sums.
 func (l *ProvenanceLog) Decisions() []MergeDecision {
 	if l == nil {
 		return nil
@@ -108,8 +118,24 @@ func (l *ProvenanceLog) Decisions() []MergeDecision {
 	})
 	for i := range out {
 		out[i].Seq = i
+		out[i].derive()
 	}
 	return out
+}
+
+// derive fills in what the recorder leaves to the reader.
+func (d *MergeDecision) derive() {
+	if d.DF != 0 {
+		d.Stat = stats.TwoSidedTPValue(d.T, d.DF)
+		d.DF = 0
+	}
+	d.A.derive()
+	d.B.derive()
+}
+
+func (m *MomentsRecord) derive() {
+	s := stats.Moments{N: m.N, Sum: m.Sum, SumSq: m.SumSq}
+	m.Mean, m.Std = s.Mean(), s.StdDev()
 }
 
 func phaseRank(phase string) int {
@@ -205,12 +231,12 @@ func (d *MergeDecision) UnmarshalJSON(b []byte) error {
 		return err
 	}
 	*d = MergeDecision{w.Seq, w.Phase, w.Trace, w.A.record(), w.B.record(), w.Case, w.Test,
-		float64(w.Stat), float64(w.Threshold), float64(w.T), w.Accept}
+		float64(w.Stat), float64(w.Threshold), float64(w.T), 0, w.Accept}
 	return nil
 }
 
 // WriteDecisions streams decisions as NDJSON, one decision per line —
-// the wire format of both `psmreport provenance` and psmd's
+// the wire format of both `psmgen -provenance` and psmd's
 // GET /v1/provenance. Non-finite statistics encode as strings (see
 // MergeDecision.MarshalJSON) and ReadDecisions restores them.
 func WriteDecisions(w io.Writer, ds []MergeDecision) error {

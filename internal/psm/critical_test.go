@@ -8,6 +8,23 @@ import (
 	"psmkit/internal/stats"
 )
 
+// Evaluate is the exact oracle of the merge verdict: evaluate with a
+// table that decides nothing, so every t-test computes its p-value,
+// and Stat set to the p-value a provenance log reports for it.
+func (p MergePolicy) Evaluate(a, b stats.Moments) MergeOutcome {
+	out := p.evaluate(a, b, &stats.CriticalT{})
+	if out.DF != 0 {
+		out.Stat = stats.TwoSidedTPValue(out.T, out.DF)
+	}
+	return out
+}
+
+// Mergeable is the production verdict on a pair: evaluate under the
+// policy's critical-|t| table.
+func (p MergePolicy) Mergeable(a, b stats.Moments) bool {
+	return p.evaluate(a, b, stats.CriticalTable(p.Alpha)).Accept
+}
+
 // momentsOf returns the accumulator of an n-sample with the given mean
 // and standard deviation.
 func momentsOf(n int, mean, sd float64) stats.Moments {
@@ -57,9 +74,9 @@ func randTestPair(rng *rand.Rand, margin float64) (a, b stats.Moments) {
 // TestTableVerdictMatchesEvaluate is the fast verdict's property: over
 // seeded random moment pairs tuned to the t-tests' critical region, the
 // verdict decided from the critical-|t| table must carry Evaluate's
-// case, test, t statistic and decision under every policy, with the
-// p-value either computed exactly (inside the margin) or left 0. Most
-// t-tests must be settled by the table.
+// case, test, t statistic, df and decision under every policy; only
+// the oracle carries a t-test's p-value. Most t-tests must be settled
+// by the table.
 func TestTableVerdictMatchesEvaluate(t *testing.T) {
 	policies := append([]MergePolicy{DefaultMergePolicy()}, tightPolicies...)
 	policies = append(policies, MergePolicy{Epsilon: 0.05, Alpha: 0.999999, EquivalenceMargin: 0.05})
@@ -73,11 +90,12 @@ func TestTableVerdictMatchesEvaluate(t *testing.T) {
 			got := pol.evaluate(a, b, crit)
 			if got.Test == TestWelch || got.Test == TestOneSample {
 				tests++
-				if got.Stat != 0 {
+				if _, ok := crit.Decide(got.T, got.DF); !ok {
 					exact++
 				}
-			}
-			if got.Stat == 0 {
+				if got.Stat != 0 {
+					t.Fatalf("α %g, %+v vs %+v: table verdict %+v carries a p-value", pol.Alpha, a, b, got)
+				}
 				got.Stat = want.Stat
 			}
 			if got != want {

@@ -121,8 +121,8 @@ func joinArm(chains []*Chain, join func(context.Context, []*Chain, MergePolicy) 
 // chains, one phase-2 collapse each). The restart scan pays a fresh
 // O(n²) evaluation sweep per collapse; the worklist pays one seeding
 // sweep plus O(n) re-probes. speedup_x is the scan's wall time divided
-// by the worklist per-op time; evals_ref and evals_worklist count real
-// MergePolicy.Evaluate executions per join. The models are
+// by the worklist per-op time; evals_ref and evals_worklist count the
+// merge evaluations per join. The models are
 // byte-identical (TestJoinScalingGate pins that).
 func BenchmarkJoinScaling(b *testing.B) {
 	chains := adversarialChains(167)
@@ -149,7 +149,7 @@ func BenchmarkJoinScaling(b *testing.B) {
 //
 //   - JoinCtx must be ≥5× faster than the restart-scan oracle (min
 //     over interleaved rounds, like the obs gate);
-//   - it must execute strictly fewer MergePolicy.Evaluate calls;
+//   - it must execute strictly fewer merge evaluations;
 //   - both engines must collapse to exactly one state per group and
 //     produce deeply equal models (the stream parity suite additionally
 //     pins DOT/JSON byte identity on mined models).
@@ -191,7 +191,7 @@ func TestJoinScalingGate(t *testing.T) {
 	t.Logf("reference %v (%d evals), worklist %v (%d evals), speedup %.1fx",
 		minRef, refEvals, minWl, wlEvals, speedup)
 	if wlEvals >= refEvals {
-		t.Fatalf("worklist executed %d Evaluate calls, reference %d; want strictly fewer", wlEvals, refEvals)
+		t.Fatalf("worklist executed %d evaluations, reference %d; want strictly fewer", wlEvals, refEvals)
 	}
 	if speedup < 5 {
 		t.Fatalf("worklist speedup %.1fx over restart scan (min over %d rounds: %v vs %v); gate is 5x",

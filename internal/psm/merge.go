@@ -66,8 +66,10 @@ const (
 	// TestEquivalence is the large-n equivalence margin; Stat is the
 	// relative mean difference, Threshold is EquivalenceMargin.
 	TestEquivalence = "equivalence"
-	// TestWelch / TestOneSample are the t-tests of Cases 2 and 3; Stat is
-	// the p-value, Threshold is Alpha, T carries the raw t statistic.
+	// TestWelch / TestOneSample are the t-tests of Cases 2 and 3;
+	// Threshold is Alpha, T and DF carry the t statistic and its degrees
+	// of freedom. The outcome carries no p-value: a provenance log
+	// derives it from (T, DF) when it is read.
 	TestWelch     = "welch"
 	TestOneSample = "one-sample"
 )
@@ -82,31 +84,18 @@ type MergeOutcome struct {
 	Test      string
 	Stat      float64
 	Threshold float64
-	// T is the raw t statistic when a t-test ran (0 otherwise, and when
-	// the test itself errored out).
+	// T and DF are the t statistic and its degrees of freedom when a
+	// t-test ran (0 otherwise, and when the test itself errored out).
 	T      float64
+	DF     float64
 	Accept bool
 }
 
-// Mergeable implements the three cases of Section IV-A on two power-
-// attribute summaries. It is Evaluate(a, b).Accept, with the t-tests
-// settled from the policy's critical-|t| table.
-func (p MergePolicy) Mergeable(a, b stats.Moments) bool {
-	return p.evaluate(a, b, stats.CriticalTable(p.Alpha)).Accept
-}
-
-// Evaluate is Mergeable with its reasoning attached: the same decision
-// procedure, returning the case, the deciding test and the statistic
-// instead of a bare boolean. A t-test's Stat is its exact p-value.
-func (p MergePolicy) Evaluate(a, b stats.Moments) MergeOutcome {
-	return p.evaluate(a, b, nil)
-}
-
-// evaluate is the one implementation of the decision. With crit nil,
-// every t-test computes its p-value. With crit non-nil — the table for
-// p.Alpha, passed when no provenance log reads the p-value — a t-test
-// decides from |t| whenever the table can tell; Stat is then left 0,
-// and every other field, Accept included, equals Evaluate's.
+// evaluate implements the three cases of Section IV-A on two power-
+// attribute summaries: the case, the deciding test, its statistic and
+// the verdict. crit is the critical-|t| table for p.Alpha; a t-test
+// decides from |t| whenever the table can tell and computes its
+// p-value only when it cannot.
 func (p MergePolicy) evaluate(a, b stats.Moments, crit *stats.CriticalT) MergeOutcome {
 	if a.N == 0 || b.N == 0 {
 		return MergeOutcome{Test: TestEmpty}
@@ -170,15 +159,12 @@ func (p MergePolicy) tTest(cse int, test string, t, df float64, err error, crit 
 	if err != nil {
 		return out
 	}
-	out.T = t
-	if crit != nil {
-		if accept, ok := crit.Decide(t, df); ok {
-			out.Accept = accept
-			return out
-		}
+	out.T, out.DF = t, df
+	accept, ok := crit.Decide(t, df)
+	if !ok {
+		accept = stats.TwoSidedTPValue(t, df) >= p.Alpha
 	}
-	out.Stat = stats.TwoSidedTPValue(t, df)
-	out.Accept = out.Stat >= p.Alpha
+	out.Accept = accept
 	return out
 }
 
@@ -392,7 +378,7 @@ func (h *pairHeap) pop() pairItem {
 // so rank order and slice-position order agree at every step, and the
 // popped pair is exactly the pair the restart scan would find next.
 // Per collapse the work drops from O(n²) re-evaluations to O(n) probes,
-// taking the fixpoint from ~O(n³) Evaluate calls to O(n²) overall.
+// taking the fixpoint from ~O(n³) evaluations to O(n²) overall.
 //
 // A provenance log gets this engine's own order: the seeding pass's
 // rejections, then per collapse its accept and the re-probe's
@@ -433,8 +419,8 @@ func collapseWorklist(mg *merger, m *Model, alias map[int]int) {
 		mg.countMerge(it.cse)
 		if mg.prov != nil {
 			// The pair's evidence is unchanged since its probe and a
-			// verdict is pure in the moments: Evaluate re-derives it.
-			mg.record(a, b, mg.policy.Evaluate(a.Power, b.Power))
+			// verdict is pure in the moments: evaluate re-derives it.
+			mg.record(a, b, mg.policy.evaluate(a.Power, b.Power, mg.crit))
 		}
 		mergeStates(alias, m.Initials, a, b)
 		byRank[it.rb] = nil

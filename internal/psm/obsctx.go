@@ -18,17 +18,15 @@ const (
 
 // merger bundles a MergePolicy with the observation sinks of one merge
 // pass: the provenance log the decisions are recorded into and the
-// per-case merge counters. The instrumented and uninstrumented passes
-// share one decision implementation (MergePolicy.evaluate), so observing
-// a run cannot change its model.
+// per-case merge counters. Every verdict comes from MergePolicy.evaluate
+// under the policy's critical-|t| table, whether or not a log is
+// attached; the log only records it, so observing a run cannot change
+// its model.
 type merger struct {
 	policy MergePolicy
 	phase  string
 	trace  int
-	// crit is the policy's critical-|t| table, resolved once per pass;
-	// nil while a provenance log is attached, since the log records
-	// every t-test's exact p-value.
-	crit   *stats.CriticalT
+	crit   *stats.CriticalT // the policy's table, resolved once per pass
 	prov   *obs.ProvenanceLog
 	checks *obs.Counter    // one tick per mergeability probe
 	evals  *obs.Counter    // ticks with checks (see newMerger)
@@ -41,11 +39,8 @@ type merger struct {
 // verdict memo did not serve, and no verdict is memoized any more. It
 // stays until the benchmark's per-layer metric that reads it goes.
 func newMerger(ctx context.Context, policy MergePolicy, phase string, traceIdx int) merger {
-	mg := merger{policy: policy, phase: phase, trace: traceIdx}
-	mg.prov = obs.ProvenanceFrom(ctx)
-	if mg.prov == nil {
-		mg.crit = stats.CriticalTable(policy.Alpha)
-	}
+	mg := merger{policy: policy, phase: phase, trace: traceIdx,
+		crit: stats.CriticalTable(policy.Alpha), prov: obs.ProvenanceFrom(ctx)}
 	if reg := obs.RegistryFrom(ctx); reg != nil {
 		mg.checks = reg.Counter("psm_merge_checks_total")
 		mg.evals = reg.Counter("psm_merge_evals_total")
@@ -101,7 +96,9 @@ func (mg *merger) countMerge(cse int) {
 	}
 }
 
-// record appends one decision to the attached provenance log.
+// record appends one decision to the attached provenance log: what the
+// verdict computed, nothing more. The log derives a t-test's p-value
+// and each state's ⟨μ, σ⟩ when it is read.
 func (mg *merger) record(a, b *State, out MergeOutcome) {
 	mg.prov.Record(obs.MergeDecision{
 		Phase:     mg.phase,
@@ -113,12 +110,13 @@ func (mg *merger) record(a, b *State, out MergeOutcome) {
 		Stat:      out.Stat,
 		Threshold: out.Threshold,
 		T:         out.T,
+		DF:        out.DF,
 		Accept:    out.Accept,
 	})
 }
 
 func momentsRecord(id int, m stats.Moments) obs.MomentsRecord {
-	return obs.MomentsRecord{State: id, N: m.N, Sum: m.Sum, SumSq: m.SumSq, Mean: m.Mean(), Std: m.StdDev()}
+	return obs.MomentsRecord{State: id, N: m.N, Sum: m.Sum, SumSq: m.SumSq}
 }
 
 // GenerateCtx is Generate under a "generate" span.

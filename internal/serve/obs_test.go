@@ -77,7 +77,7 @@ func batchTraces(rows [][][]logic.Vector, pows [][]float64) ([]*trace.Functional
 
 // TestProvenanceParityWithBatch pins the acceptance invariant: over the
 // same completed traces, GET /v1/provenance returns exactly the decision
-// log the batch flow (psmreport provenance) produces — same decisions,
+// log the batch flow (psmgen -provenance) produces — same decisions,
 // same canonical order, same statistics.
 func TestProvenanceParityWithBatch(t *testing.T) {
 	srv := newTestServer()
@@ -127,9 +127,7 @@ func TestProvenanceParityWithBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipeline.TreeJoin(ctx, chains, scfg.Merge, 4); err != nil {
-		t.Fatal(err)
-	}
+	psm.JoinCtx(ctx, chains, scfg.Merge)
 	batch := log.Decisions()
 
 	if !reflect.DeepEqual(served, batch) {
@@ -328,7 +326,7 @@ func TestPrometheusFleetCounters(t *testing.T) {
 // decisions carry non-finite statistics: the power of every en=0
 // instant is exactly 1.0, so a constant-power until-state tested
 // against a one-instant en=1 next-state gives t = -Inf. The served
-// NDJSON must still be byte-identical to `psmreport provenance` — the
+// NDJSON must still be byte-identical to `psmgen -provenance` — the
 // batch chains joined by psm.JoinCtx — over the same traces in
 // canonical order, at one shard and at 2.
 func TestProvenanceNonFiniteParity(t *testing.T) {

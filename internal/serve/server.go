@@ -28,7 +28,7 @@
 //	GET  /v1/provenance — the merge-provenance audit log of the live
 //	                    model as NDJSON: one Section IV-A mergeability
 //	                    decision per line, canonically ordered (equal to
-//	                    `psmreport provenance` over the same traces).
+//	                    `psmgen -provenance` over the same traces).
 //	GET  /v1/status   — SLO health: windowed quantiles, burn, watermarks,
 //	                    one row per shard, the slow-session table.
 //	GET  /metrics     — expvar-style JSON: ingestion counters, join
@@ -590,7 +590,7 @@ func etagMatch(header, etag string) bool {
 
 // handleProvenance streams the merge-provenance audit log of the live
 // model as NDJSON, one mergeability decision per line — the same
-// decisions, in the same canonical order, as `psmreport provenance`
+// decisions, in the same canonical order, as `psmgen -provenance`
 // over the traces ingested so far (the parity is pinned by test).
 func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {

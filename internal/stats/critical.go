@@ -14,16 +14,17 @@ import (
 const (
 	// critDFs is the last integer df tabulated (1..critDFs).
 	critDFs = 256
-	// critDFMax is the largest df a CriticalT decides. TwoSidedTPValue
-	// loses accuracy as df grows (lnGamma of df/2 cancels), and past a
-	// few million df its computed critical value leaves the band the
-	// table assumes; 1e5 keeps an order of magnitude of slack at every
-	// α in the tabulated range.
+	// critDFMax is the largest df a CriticalT decides; a larger df is
+	// settled from its p-value. Past critDFs the table's band runs from
+	// the normal limit to the last tabulated critical value, and
+	// TestCriticalTFallsWithDF checks that TwoSidedTPValue's critical
+	// value stays inside it up to df 1e12, so the cap is conservative.
 	critDFMax = 1e5
 	// critAlphaMin and critAlphaMax bound the α a CriticalT tabulates.
 	// Nearer 0, P's absolute rounding (≈1e-16) becomes a large share of
-	// α; nearer 1, P's computed critical value stops falling with df
-	// well inside critDFMax. Any other α is settled exactly.
+	// α; nearer 1, it outweighs how far P moves between neighbouring df,
+	// and the computed critical value stops falling with df (at
+	// α = 1 − 1e-6 already below df 20). Any other α is settled exactly.
 	critAlphaMin = 1e-9
 	critAlphaMax = 0.9
 	// critMargin is the relative distance |t| must keep from a critical
@@ -36,7 +37,7 @@ const (
 // CriticalT decides two-sided t-tests at one significance level α from
 // a table of critical |t|. Its verdict, when it gives one, is exactly
 // TwoSidedTPValue(t, df) >= α. A CriticalT is immutable and safe for
-// concurrent use.
+// concurrent use. The zero CriticalT decides nothing.
 type CriticalT struct {
 	// crit[k] (k = 1..critDFs) is the least |t| whose computed
 	// TwoSidedTPValue at k degrees of freedom falls below α; nil when α

@@ -50,6 +50,35 @@ func TestCriticalTMatchesPValue(t *testing.T) {
 	}
 }
 
+// TestCriticalTFallsWithDF: the critical |t| of TwoSidedTPValue, found
+// by bisection, falls strictly as df grows from 1 to 1e12, at α from
+// 1e-6 to 0.9, and stays above the normal limit where the table's band
+// past critDFs starts. It also pins that P does not round to 1 where
+// t²/df < 1e-16.
+func TestCriticalTFallsWithDF(t *testing.T) {
+	for _, alpha := range []float64{1e-6, 0.05, 0.2, 0.9} {
+		normal := CriticalTable(alpha).normal
+		prev := math.Inf(1)
+		for k := 0; k <= 48; k++ {
+			df := math.Pow(10, float64(k)/4)
+			c := lowestBelow(func(tv float64) bool { return TwoSidedTPValue(tv, df) < alpha }, 1)
+			if !(c < prev && c > normal) {
+				t.Fatalf("α %g: critical |t| %v at df %g, %v at the df before, normal limit %v", alpha, c, df, prev, normal)
+			}
+			prev = c
+		}
+	}
+	if p := TwoSidedTPValue(1e-3, 1e12); !(p < 1) {
+		t.Fatalf("TwoSidedTPValue(1e-3, 1e12) = %v, want < 1", p)
+	}
+	if p := TwoSidedTPValue(math.Inf(-1), 1e6); p != 0 {
+		t.Fatalf("TwoSidedTPValue(-Inf, 1e6) = %v, want 0", p)
+	}
+	if p := TwoSidedTPValue(math.NaN(), 1e6); !math.IsNaN(p) {
+		t.Fatalf("TwoSidedTPValue(NaN, 1e6) = %v, want NaN", p)
+	}
+}
+
 // TestCriticalTDeclines: the table gives no verdict outside its domain
 // — non-finite t, df below 1 or past critDFMax, α outside
 // [critAlphaMin, critAlphaMax] — nor inside the margin around a

@@ -160,7 +160,7 @@ func (s *Session) Append(row []logic.Vector, power float64) error {
 // dictionary, per-session simplify, one psm.JoinCtx over every chain)
 // with a recording merger attached. It follows the exact batch order
 // (sessions in completion order, one sequential join), so the decisions
-// equal `psmreport provenance` over the same traces.
+// equal `psmgen -provenance` over the same traces.
 func (e *Engine) Provenance(ctx context.Context) ([]obs.MergeDecision, error) {
 	e.mu.Lock()
 	completed := len(e.completed)
